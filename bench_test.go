@@ -407,3 +407,20 @@ func BenchmarkKernelGainAnalysis(b *testing.B) {
 		an.AnalyzeC(s)
 	}
 }
+
+// BenchmarkKernelABAnalysis times PG_A+PG_B alone over every harvested
+// candidate of spla, the circuit where AB-analysis dominates the engine.
+func BenchmarkKernelABAnalysis(b *testing.B) {
+	nl := compileCircuit(b, "spla")
+	pm := power.Estimate(nl, power.Options{})
+	an := transform.NewAnalyzer(nl, pm)
+	cands := transform.Generate(nl, pm, transform.Config{})
+	if len(cands) == 0 {
+		b.Fatal("no candidates")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		an.AnalyzeAB(cands[i%len(cands)])
+	}
+}

@@ -151,7 +151,7 @@ func TestRunWithTimeout(t *testing.T) {
 	out := filepath.Join(dir, "opt.blif")
 	var stdout, stderr bytes.Buffer
 	cfg := config{
-		circuit: "C880", outPath: out, timeout: 50 * time.Millisecond,
+		circuit: "apex1", outPath: out, timeout: 50 * time.Millisecond,
 		repeat: 10, preselect: 12, words: 16, seed: 1, inverted: true, verify: true,
 	}
 	start := time.Now()

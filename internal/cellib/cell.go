@@ -112,13 +112,18 @@ func (c *Cell) Delay(load float64) float64 { return c.Intrinsic + load*c.Drive }
 
 // IsInverter reports whether the cell computes NOT of its single input.
 func (c *Cell) IsInverter() bool {
-	return len(c.Pins) == 1 && c.TT.Equal(logic.TTFromExpr(logic.Not(logic.Var(0)), 1))
+	return len(c.Pins) == 1 && c.TT.Equal(invTT)
 }
 
 // IsBuffer reports whether the cell computes the identity of its single input.
 func (c *Cell) IsBuffer() bool {
-	return len(c.Pins) == 1 && c.TT.Equal(logic.TTFromExpr(logic.Var(0), 1))
+	return len(c.Pins) == 1 && c.TT.Equal(bufTT)
 }
+
+var (
+	invTT = logic.TTFromExpr(logic.Not(logic.Var(0)), 1)
+	bufTT = logic.TTFromExpr(logic.Var(0), 1)
+)
 
 // String returns "name(area)".
 func (c *Cell) String() string { return fmt.Sprintf("%s(%.0f)", c.Name, c.Area) }

@@ -573,9 +573,9 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 	hooks := opts.Inject
 	verifyErr := error(nil)
 
+	an := transform.NewAnalyzer(nl, pm)
 	exhausted := false
 	for !exhausted && !stopRequested() {
-		an := transform.NewAnalyzer(nl, pm)
 		_, harvSpan := trace.StartSpan(ctx, "harvest")
 		stop = ph.Start("harvest")
 		cands := transform.Generate(nl, pm, opts.Transform)
@@ -756,7 +756,6 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 				aSpan.End()
 				stop = ph.Start("power-resync")
 				pm.Resync()
-				an = transform.NewAnalyzer(nl, pm)
 				stop()
 				reject(reason, best, proof)
 				if o.Tracing() {
@@ -787,7 +786,6 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 				o.Counter("core.ledger.applied").Inc()
 				o.Histogram("core.ledger.realized_gain").Observe(pBefore - pAfter)
 			}
-			an = transform.NewAnalyzer(nl, pm)
 			if timing != nil {
 				stop = ph.Start("delay-analysis")
 				timing = sta.NewObserved(nl, constraint, opts.InputDrive, o)

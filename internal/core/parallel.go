@@ -947,7 +947,6 @@ func (pr *parRun) runRegion(ctx context.Context, d *partition.Decomposition, reg
 			timing = sta.NewObserved(replica, pr.constraint, opts.InputDrive, nil)
 			stop()
 		}
-		an = transform.NewAnalyzer(replica, rpm)
 		rep.proposals = append(rep.proposals, proposal{
 			sub:     best,
 			proof:   proof,

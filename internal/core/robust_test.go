@@ -187,7 +187,8 @@ func TestNoRetriesMeansAbortsReject(t *testing.T) {
 // level: the run ends well within 2x the deadline, reports StopDeadline,
 // and hands back a valid netlist equivalent to the input.
 func TestDeadlineStopsRunCleanly(t *testing.T) {
-	nl := compileBenchmark(t, "C880")
+	// apex1 runs for about a second, far past the deadline.
+	nl := compileBenchmark(t, "apex1")
 	input := nl.Clone()
 	const deadline = 50 * time.Millisecond
 	start := time.Now()
@@ -214,7 +215,7 @@ func TestDeadlineStopsRunCleanly(t *testing.T) {
 	if err := nl.Validate(); err != nil {
 		t.Fatalf("netlist invalid after deadline stop: %v", err)
 	}
-	mustEquivalent(t, input, nl, "C880")
+	mustEquivalent(t, input, nl, "apex1")
 }
 
 // TestCancelledContextStopsRun pins the Ctrl-C path: an

@@ -166,76 +166,3 @@ func (nl *Netlist) SweepDead() []NodeID {
 		}
 	}
 }
-
-// DeadConeIfDetached returns the set of live gates that would become
-// fanout-free (and hence be swept) if the given fanout branches were
-// detached from node a. Passing all of a's branches answers "what dies if
-// stem a is substituted", which per the paper equals the dominated region
-// Dom(a). Nodes listed in keep are treated as un-killable: pass the
-// substituting signal(s), which pick up the detached load and therefore
-// survive even when they currently feed only the dominated region. The
-// netlist is not modified.
-func (nl *Netlist) DeadConeIfDetached(a NodeID, detached []Branch, keep ...NodeID) []NodeID {
-	det := make(map[Branch]bool, len(detached))
-	for _, b := range detached {
-		det[b] = true
-	}
-	kept := make(map[NodeID]bool, len(keep))
-	for _, k := range keep {
-		kept[k] = true
-	}
-	// deadSet holds gates known to die. A gate dies when every one of its
-	// fanout branches is either detached (for node a only) or feeds a dead
-	// gate.
-	deadSet := make(map[NodeID]bool)
-	var dies func(id NodeID) bool
-	dies = func(id NodeID) bool {
-		n := nl.Node(id)
-		if n.kind != KindGate || n.dead || kept[id] {
-			return false
-		}
-		for _, b := range n.fanouts {
-			if id == a && det[b] {
-				continue
-			}
-			if b.IsPO() || !deadSet[b.Gate] {
-				return false
-			}
-		}
-		return true
-	}
-	// Iterate to fixpoint; the cone is small, so simplicity beats a
-	// worklist here.
-	for {
-		progress := false
-		// Seed with a itself, then walk transitively into fanins.
-		var visit func(id NodeID)
-		visited := make(map[NodeID]bool)
-		visit = func(id NodeID) {
-			if visited[id] {
-				return
-			}
-			visited[id] = true
-			if !deadSet[id] && dies(id) {
-				deadSet[id] = true
-				progress = true
-			}
-			if deadSet[id] {
-				for _, f := range nl.Node(id).fanins {
-					visit(f)
-				}
-			}
-		}
-		visit(a)
-		if !progress {
-			break
-		}
-	}
-	out := make([]NodeID, 0, len(deadSet))
-	for _, n := range nl.nodes {
-		if deadSet[n.id] {
-			out = append(out, n.id)
-		}
-	}
-	return out
-}

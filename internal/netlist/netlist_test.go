@@ -237,16 +237,21 @@ func TestRemoveAndSweep(t *testing.T) {
 
 func TestDeadConeIfDetached(t *testing.T) {
 	nl, ids := buildExample(t)
+	dc := NewDeadCones(nl)
 	// If stem d loses its only branch (f pin 0), d dies; a, c stay (they
 	// still feed live logic or are inputs).
-	cone := nl.DeadConeIfDetached(ids["d"], nl.Node(ids["d"]).Fanouts())
-	if len(cone) != 1 || cone[0] != ids["d"] {
+	cone := dc.Stem(ids["d"])
+	if len(cone) != 1 || cone[0] != ids["d"] || !dc.Contains(ids["d"]) || dc.Contains(ids["a"]) {
 		t.Errorf("dead cone of d = %v, want [d]", cone)
 	}
 	// Detaching a single branch of stem a (multi-fanout) kills nothing.
-	cone = nl.DeadConeIfDetached(ids["a"], []Branch{{Gate: ids["d"], Pin: 0}})
-	if len(cone) != 0 {
+	cone = dc.Branch(ids["a"], Branch{Gate: ids["d"], Pin: 0})
+	if len(cone) != 0 || dc.Contains(ids["d"]) {
 		t.Errorf("dead cone of single branch of a = %v, want empty", cone)
+	}
+	// A kept node survives, and so does everything only it depends on.
+	if cone = dc.Stem(ids["d"], ids["d"]); len(cone) != 0 {
+		t.Errorf("dead cone of kept d = %v, want empty", cone)
 	}
 	// Build a chain g1 -> g2 where killing g2's branch kills both.
 	lib := nl.Lib
@@ -256,9 +261,14 @@ func TestDeadConeIfDetached(t *testing.T) {
 	if err := nl.AddOutput("o3", g3); err != nil {
 		t.Fatal(err)
 	}
-	cone = nl.DeadConeIfDetached(g2, nl.Node(g2).Fanouts())
-	if len(cone) != 2 {
+	// The buffers grow with the netlist.
+	cone = dc.Stem(g2)
+	if len(cone) != 2 || cone[0] != g1 || cone[1] != g2 {
 		t.Errorf("dead cone of g2 = %v, want [g1 g2]", cone)
+	}
+	// Keeping g1 stops the cone at g2.
+	if cone = dc.Stem(g2, g1); len(cone) != 1 || cone[0] != g2 {
+		t.Errorf("dead cone of g2 keeping g1 = %v, want [g2]", cone)
 	}
 }
 

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"powder/internal/cellib"
@@ -115,5 +116,110 @@ func TestCloneEqualsOriginalAfterEdits(t *testing.T) {
 	}
 	if nl.Area() != cp.Area() || nl.GateCount() != cp.GateCount() {
 		t.Errorf("clone diverged from original under identical edits")
+	}
+}
+
+// referenceDeadCone is the direct fixpoint definition of the dead cone: a
+// gate dies when every fanout branch is detached (node a only) or feeds a
+// dying gate. DeadCones must agree with it on every query.
+func referenceDeadCone(nl *Netlist, a NodeID, detached []Branch, keep ...NodeID) []NodeID {
+	det := map[Branch]bool{}
+	for _, b := range detached {
+		det[b] = true
+	}
+	kept := map[NodeID]bool{}
+	for _, k := range keep {
+		kept[k] = true
+	}
+	dead := map[NodeID]bool{}
+	for progress := true; progress; {
+		progress = false
+		nl.LiveNodes(func(n *Node) {
+			if dead[n.id] || n.kind != KindGate || kept[n.id] {
+				return
+			}
+			if n.id != a && len(n.fanouts) == 0 {
+				return // already fanout-free: not part of a's cone
+			}
+			for _, b := range n.fanouts {
+				if n.id == a && det[b] {
+					continue
+				}
+				if b.IsPO() || !dead[b.Gate] {
+					return
+				}
+			}
+			dead[n.id] = true
+			progress = true
+		})
+	}
+	var out []NodeID
+	nl.LiveNodes(func(n *Node) {
+		if dead[n.id] {
+			out = append(out, n.id)
+		}
+	})
+	return out
+}
+
+// TestDeadConesMatchReference compares every stem and branch query, with
+// and without kept nodes, on random multi-fanout netlists against the
+// fixpoint definition.
+func TestDeadConesMatchReference(t *testing.T) {
+	lib := cellib.Lib2()
+	cells := []string{"inv", "nand2", "nor2", "and2", "xor2", "aoi21", "mux2", "buf"}
+	queries := 0
+	for trial := 0; trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(int64(9100 + trial)))
+		nl := New("cone", lib)
+		var pool []NodeID
+		for i := 0; i < 4; i++ {
+			id, _ := nl.AddInput(string(rune('a' + i)))
+			pool = append(pool, id)
+		}
+		for i := 0; i < 30; i++ {
+			cell := lib.Cell(cells[rng.Intn(len(cells))])
+			fanins := make([]NodeID, cell.NumPins())
+			for p := range fanins {
+				// Favour recent nodes so deep single-fanout chains form.
+				fanins[p] = pool[len(pool)-1-rng.Intn(min(len(pool), 6))]
+			}
+			id, err := nl.AddGate("", cell, fanins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool = append(pool, id)
+		}
+		for i := 0; i < 3; i++ {
+			if err := nl.AddOutput(string(rune('x'+i)), pool[len(pool)-1-rng.Intn(8)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nl.SweepDead()
+		dc := NewDeadCones(nl)
+		check := func(what string, got, want []NodeID) {
+			t.Helper()
+			queries++
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d %s: cone %v, want %v", trial, what, got, want)
+			}
+			for _, id := range want {
+				if !dc.Contains(id) {
+					t.Fatalf("trial %d %s: Contains(%d) false", trial, what, id)
+				}
+			}
+		}
+		nl.LiveNodes(func(n *Node) {
+			a := n.ID()
+			keep := pool[rng.Intn(len(pool))]
+			check("stem", dc.Stem(a), referenceDeadCone(nl, a, n.Fanouts()))
+			check("stem+keep", dc.Stem(a, keep), referenceDeadCone(nl, a, n.Fanouts(), keep))
+			for _, b := range n.Fanouts() {
+				check("branch", dc.Branch(a, b), referenceDeadCone(nl, a, []Branch{b}))
+			}
+		})
+	}
+	if queries < 500 {
+		t.Fatalf("only %d queries checked", queries)
 	}
 }

@@ -3,6 +3,7 @@ package power
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"powder/internal/netlist"
@@ -107,19 +108,11 @@ func TemporalEstimate(nl *netlist.Netlist, words int, seed int64, probs, toggles
 		v0, v1 := s0.Value(id), s1.Value(id)
 		diff := 0
 		for w := range v0 {
-			diff += popcountWord((v0[w] ^ v1[w]) & s0.ValidMask(w))
+			diff += bits.OnesCount64((v0[w] ^ v1[w]) & s0.ValidMask(w))
 		}
 		e := float64(diff) / float64(rep.Pairs)
 		rep.E[id] = e
 		rep.Total += nl.Load(id) * e
 	})
 	return rep, nil
-}
-
-func popcountWord(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"powder/internal/cellib"
@@ -186,5 +187,85 @@ func TestResimFromIdempotent(t *testing.T) {
 				t.Fatalf("ResimFrom changed node %d without a netlist change", id)
 			}
 		}
+	}
+}
+
+// naiveOnes counts the valid vectors on which words is 1, bit by bit.
+func naiveOnes(s *Simulator, words []uint64) int {
+	n := 0
+	for v := 0; v < s.NumVectors(); v++ {
+		n += int(words[v/64] >> (v % 64) & 1)
+	}
+	return n
+}
+
+// TestOnesCacheFollowsValueChanges: the cached per-signal counts must
+// match a bit-by-bit recount after every kind of value change, including
+// exhaustive vector sets that end mid-word.
+func TestOnesCacheFollowsValueChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	nl := randomNetlist(t, rng, 5, 20)
+	s := New(nl, 2)
+	checkAll := func(what string) {
+		t.Helper()
+		nl.LiveNodes(func(n *netlist.Node) {
+			id := n.ID()
+			if got, want := s.Ones(id), naiveOnes(s, s.Value(id)); got != want {
+				t.Fatalf("%s: Ones(%d) = %d, want %d", what, id, got, want)
+			}
+		})
+	}
+	if err := s.SetInputsExhaustive(); err != nil { // 32 of 128 vectors
+		t.Fatal(err)
+	}
+	s.Run()
+	checkAll("exhaustive")
+	s.SetInputsRandom(3, nil)
+	s.Run()
+	checkAll("random")
+	in := nl.Inputs()[0]
+	s.SetInputWord(in, 1, ^s.Value(in)[1])
+	checkAll("input word")
+	s.ResimFrom(in)
+	checkAll("resim")
+	live := nl.TopoOrder()
+	for i := 0; i < 20; i++ {
+		x, y := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
+		and := make([]uint64, s.Words())
+		for w := range and {
+			and[w] = s.Value(x)[w] & s.Value(y)[w]
+		}
+		want := naiveOnes(s, and)
+		if got := s.CountOnesAnd(s.Value(x), s.Value(y)); got != want {
+			t.Fatalf("CountOnesAnd(%d,%d) = %d, want %d", x, y, got, want)
+		}
+	}
+}
+
+// TestObservabilityResultsAreOwned: the observability queries reuse the
+// simulator's buffers internally, but each returned mask belongs to the
+// caller and survives later queries.
+func TestObservabilityResultsAreOwned(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	nl := randomNetlist(t, rng, 6, 24)
+	s := New(nl, 2)
+	s.SetInputsRandom(9, nil)
+	s.Run()
+	order := nl.TopoOrder()
+	first := s.StemObservability(order[len(order)/2])
+	keep := append([]uint64(nil), first...)
+	for _, id := range order {
+		s.StemObservability(id)
+		if n := nl.Node(id); n.Kind() == netlist.KindGate {
+			s.BranchObservability(id, 0)
+		}
+	}
+	for w := range keep {
+		if first[w] != keep[w] {
+			t.Fatalf("a later query overwrote an earlier result")
+		}
+	}
+	if again := s.StemObservability(order[len(order)/2]); !slices.Equal(again, keep) {
+		t.Fatalf("repeated query differs: %x vs %x", again, keep)
 	}
 }

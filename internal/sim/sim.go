@@ -8,9 +8,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"powder/internal/netlist"
 )
@@ -29,10 +31,28 @@ type Simulator struct {
 	// are masked out of counts via ValidMask.
 	nvec int
 
-	// scratch state for PropagateDiff/WhatIf
+	// scratch state of Hypothetical and the observability queries: the
+	// per-node overlay values, the latest propagation's affected nodes
+	// and PO difference mask, and the flipped-value inputs
 	scratch   [][]uint64
 	scratchID []int64
 	epoch     int64
+	affected  []netlist.NodeID
+	poDiff    []uint64
+	altBuf    []uint64
+	pinBuf    []uint64
+
+	// ones caches Ones per node: ones[id] is valid while onesGen[id] ==
+	// gen, and gen advances whenever any value word may have changed.
+	ones    []int
+	onesGen []uint64
+	gen     uint64
+
+	// tfoSeen[id] == tfoMark marks the nodes collectTFO has reached;
+	// tfoStack is its reused work list.
+	tfoSeen  []uint64
+	tfoMark  uint64
+	tfoStack []netlist.NodeID
 }
 
 // New creates a simulator with the given number of 64-bit words per signal
@@ -42,15 +62,28 @@ func New(nl *netlist.Netlist, words int) *Simulator {
 	if words <= 0 {
 		panic("sim: words must be positive")
 	}
-	s := &Simulator{nl: nl, words: words, nvec: words * 64}
+	s := &Simulator{nl: nl, words: words, nvec: words * 64, gen: 1}
 	s.refreshTopo()
-	s.values = make([][]uint64, nl.NumNodes())
+	s.grow()
 	for _, id := range s.order {
 		s.values[id] = make([]uint64, words)
 	}
-	s.scratch = make([][]uint64, nl.NumNodes())
-	s.scratchID = make([]int64, nl.NumNodes())
 	return s
+}
+
+// grow extends the per-node tables to the netlist's node count.
+func (s *Simulator) grow() {
+	n := s.nl.NumNodes()
+	if n <= len(s.values) {
+		return
+	}
+	add := n - len(s.values)
+	s.values = append(s.values, make([][]uint64, add)...)
+	s.scratch = append(s.scratch, make([][]uint64, add)...)
+	s.scratchID = append(s.scratchID, make([]int64, add)...)
+	s.ones = append(s.ones, make([]int, add)...)
+	s.onesGen = append(s.onesGen, make([]uint64, add)...)
+	s.tfoSeen = append(s.tfoSeen, make([]uint64, add)...)
 }
 
 // Words returns the number of 64-bit words per signal.
@@ -77,20 +110,7 @@ func (s *Simulator) refreshTopo() {
 // refreshes the topological order and fully resimulates. New nodes get
 // value storage; input words of existing inputs are preserved.
 func (s *Simulator) Resync() {
-	if int(s.nl.NumNodes()) > len(s.values) {
-		nv := make([][]uint64, s.nl.NumNodes())
-		copy(nv, s.values)
-		s.values = nv
-		ns := make([][]uint64, s.nl.NumNodes())
-		copy(ns, s.scratch)
-		s.scratch = ns
-		nid := make([]int64, s.nl.NumNodes())
-		copy(nid, s.scratchID)
-		s.scratchID = nid
-		tp := make([]int, s.nl.NumNodes())
-		copy(tp, s.topoPos)
-		s.topoPos = tp
-	}
+	s.grow()
 	s.refreshTopo()
 	for _, id := range s.order {
 		if s.values[id] == nil {
@@ -110,6 +130,7 @@ func (s *Simulator) SetInputsRandom(seed int64, probs []float64) {
 		panic(fmt.Sprintf("sim: %d probabilities for %d inputs", len(probs), len(ins)))
 	}
 	s.nvec = s.words * 64
+	s.gen++
 	for i, id := range ins {
 		p := 0.5
 		if probs != nil {
@@ -139,6 +160,7 @@ func (s *Simulator) SetInputWord(id netlist.NodeID, w int, bits uint64) {
 	if n.Kind() != netlist.KindInput {
 		panic(fmt.Sprintf("sim: SetInputWord on non-input %s", n.Name()))
 	}
+	s.gen++
 	s.values[id][w] = bits
 }
 
@@ -158,6 +180,7 @@ func (s *Simulator) SetInputsExhaustive() error {
 			n, need, s.words*64)
 	}
 	s.nvec = need
+	s.gen++
 	for i, id := range ins {
 		v := s.values[id]
 		for w := range v {
@@ -198,6 +221,7 @@ func (s *Simulator) Run() {
 	if s.version != s.nl.Version() {
 		s.refreshTopo()
 	}
+	s.gen++
 	var in [6][]uint64
 	for _, id := range s.order {
 		n := s.nl.Node(id)
@@ -236,13 +260,15 @@ func (s *Simulator) Value(id netlist.NodeID) []uint64 {
 	return v
 }
 
-// Ones returns the number of valid sample vectors on which the signal is 1.
+// Ones returns the number of valid sample vectors on which the signal is
+// 1. Counts are cached until the next change to the simulated values, so
+// repeated queries cost no popcount.
 func (s *Simulator) Ones(id netlist.NodeID) int {
-	v := s.Value(id)
-	n := 0
-	for w, word := range v {
-		n += popcount(word & s.ValidMask(w))
+	if s.onesGen[id] == s.gen {
+		return s.ones[id]
 	}
+	n := s.CountOnes(s.Value(id))
+	s.ones[id], s.onesGen[id] = n, s.gen
 	return n
 }
 
@@ -251,10 +277,24 @@ func (s *Simulator) Probability(id netlist.NodeID) float64 {
 	return float64(s.Ones(id)) / float64(s.nvec)
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
+// CountOnes returns the number of valid sample vectors on which the given
+// value words (one signal, Words long) are 1.
+func (s *Simulator) CountOnes(words []uint64) int {
+	last := (s.nvec - 1) / 64
+	n := bits.OnesCount64(words[last] & s.ValidMask(last))
+	for _, w := range words[:last] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// CountOnesAnd returns the number of valid sample vectors on which both
+// value words x and y are 1.
+func (s *Simulator) CountOnesAnd(x, y []uint64) int {
+	last := (s.nvec - 1) / 64
+	n := bits.OnesCount64(x[last] & y[last] & s.ValidMask(last))
+	for w := range x[:last] {
+		n += bits.OnesCount64(x[w] & y[w])
 	}
 	return n
 }
@@ -268,7 +308,8 @@ func (s *Simulator) ResimFrom(roots ...netlist.NodeID) {
 		s.refreshTopo()
 		s.version = s.nl.Version()
 	}
-	affected := s.collectTFO(roots)
+	s.gen++
+	affected := s.collectTFO(nil, roots...)
 	var in [6][]uint64
 	for _, id := range affected {
 		n := s.nl.Node(id)
@@ -287,26 +328,30 @@ func (s *Simulator) ResimFrom(roots ...netlist.NodeID) {
 }
 
 // collectTFO returns roots plus their transitive fanout, sorted by
-// topological position.
-func (s *Simulator) collectTFO(roots []netlist.NodeID) []netlist.NodeID {
-	seen := make(map[netlist.NodeID]bool)
-	var out []netlist.NodeID
-	var walk func(id netlist.NodeID)
-	walk = func(id netlist.NodeID) {
-		if seen[id] {
-			return
+// topological position, in buf's storage when it is large enough.
+func (s *Simulator) collectTFO(buf []netlist.NodeID, roots ...netlist.NodeID) []netlist.NodeID {
+	s.grow()
+	s.tfoMark++
+	out := buf[:0]
+	stack := s.tfoStack[:0]
+	for _, r := range roots {
+		if s.tfoSeen[r] != s.tfoMark {
+			s.tfoSeen[r] = s.tfoMark
+			stack = append(stack, r)
 		}
-		seen[id] = true
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		out = append(out, id)
 		for _, b := range s.nl.Node(id).Fanouts() {
-			if !b.IsPO() {
-				walk(b.Gate)
+			if !b.IsPO() && s.tfoSeen[b.Gate] != s.tfoMark {
+				s.tfoSeen[b.Gate] = s.tfoMark
+				stack = append(stack, b.Gate)
 			}
 		}
 	}
-	for _, r := range roots {
-		walk(r)
-	}
-	sort.Slice(out, func(i, j int) bool { return s.topoPos[out[i]] < s.topoPos[out[j]] })
+	s.tfoStack = stack
+	slices.SortFunc(out, func(a, b netlist.NodeID) int { return cmp.Compare(s.topoPos[a], s.topoPos[b]) })
 	return out
 }

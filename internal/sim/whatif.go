@@ -6,8 +6,8 @@ import (
 
 // Overlay holds the result of a hypothetical propagation: the values every
 // affected node would take if the root signal were replaced. An Overlay is
-// valid only until the next Hypothetical call on the same Simulator (the
-// scratch buffers are reused).
+// valid only until the next Hypothetical or observability call on the same
+// Simulator: the scratch buffers, Affected and PODiff included, are reused.
 type Overlay struct {
 	s     *Simulator
 	epoch int64
@@ -70,6 +70,14 @@ func (o *Overlay) AnyPODiff() bool {
 // (the base values stay untouched) and the primary-output difference mask
 // is collected. alt must have the simulator's word count.
 func (s *Simulator) Hypothetical(root netlist.NodeID, alt []uint64) *Overlay {
+	s.propagate(root, alt)
+	return &Overlay{s: s, epoch: s.epoch, Affected: s.affected, PODiff: s.poDiff}
+}
+
+// propagate is Hypothetical without the Overlay: it leaves the affected
+// nodes in s.affected, their values in the scratch slots of the new epoch
+// and the primary-output difference mask in s.poDiff.
+func (s *Simulator) propagate(root netlist.NodeID, alt []uint64) {
 	if len(alt) != s.words {
 		panic("sim: alt word count mismatch")
 	}
@@ -78,12 +86,13 @@ func (s *Simulator) Hypothetical(root netlist.NodeID, alt []uint64) *Overlay {
 		s.version = s.nl.Version()
 	}
 	s.epoch++
-	affected := s.collectTFO([]netlist.NodeID{root})
-	ov := &Overlay{s: s, epoch: s.epoch, Affected: affected, PODiff: make([]uint64, s.words)}
+	s.affected = s.collectTFO(s.affected, root)
+	s.poDiff = growWords(s.poDiff, s.words)
+	clear(s.poDiff)
 
 	s.setScratch(root, alt)
 	var in [6][]uint64
-	for _, id := range affected {
+	for _, id := range s.affected {
 		n := s.nl.Node(id)
 		if id != root {
 			fanins := n.Fanins()
@@ -101,11 +110,19 @@ func (s *Simulator) Hypothetical(root netlist.NodeID, alt []uint64) *Overlay {
 			base := s.values[id]
 			cur := s.scratch[id]
 			for w := 0; w < s.words; w++ {
-				ov.PODiff[w] |= (cur[w] ^ base[w]) & s.ValidMask(w)
+				s.poDiff[w] |= (cur[w] ^ base[w]) & s.ValidMask(w)
 			}
 		}
 	}
-	return ov
+}
+
+// growWords returns buf resized to n words, reallocating only when it is
+// too small.
+func growWords(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	return buf[:n]
 }
 
 // setScratch copies alt into root's scratch slot for the current epoch.
@@ -145,14 +162,12 @@ func (s *Simulator) GateValueWithPin(g netlist.NodeID, pin int, words []uint64, 
 // candidate filter uses.
 func (s *Simulator) StemObservability(id netlist.NodeID) []uint64 {
 	base := s.Value(id)
-	alt := make([]uint64, s.words)
-	for w := range alt {
-		alt[w] = ^base[w]
+	s.altBuf = growWords(s.altBuf, s.words)
+	for w := range s.altBuf {
+		s.altBuf[w] = ^base[w]
 	}
-	ov := s.Hypothetical(id, alt)
-	out := make([]uint64, s.words)
-	copy(out, ov.PODiff)
-	return out
+	s.propagate(id, s.altBuf)
+	return append([]uint64(nil), s.poDiff...)
 }
 
 // BranchObservability returns the mask of sample vectors on which
@@ -161,16 +176,14 @@ func (s *Simulator) StemObservability(id netlist.NodeID) []uint64 {
 func (s *Simulator) BranchObservability(g netlist.NodeID, pin int) []uint64 {
 	n := s.nl.Node(g)
 	src := s.Value(n.Fanins()[pin])
-	flipped := make([]uint64, s.words)
-	for w := range flipped {
-		flipped[w] = ^src[w]
+	s.pinBuf = growWords(s.pinBuf, s.words)
+	for w := range s.pinBuf {
+		s.pinBuf[w] = ^src[w]
 	}
-	altG := make([]uint64, s.words)
-	s.GateValueWithPin(g, pin, flipped, altG)
-	ov := s.Hypothetical(g, altG)
-	out := make([]uint64, s.words)
-	copy(out, ov.PODiff)
-	return out
+	s.altBuf = growWords(s.altBuf, s.words)
+	s.GateValueWithPin(g, pin, s.pinBuf, s.altBuf)
+	s.propagate(g, s.altBuf)
+	return append([]uint64(nil), s.poDiff...)
 }
 
 // POObservabilityAlways returns an all-ones mask; primary-output branches

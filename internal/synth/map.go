@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -484,9 +485,7 @@ func (m *mapper) computeProbs(seed int64) {
 	for id := range vals {
 		ones := 0
 		for _, w := range vals[id] {
-			for x := w; x != 0; x &= x - 1 {
-				ones++
-			}
+			ones += bits.OnesCount64(w)
 		}
 		m.prob[id] = float64(ones) / float64(words*64)
 	}

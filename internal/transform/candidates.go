@@ -58,7 +58,8 @@ func Generate(nl *netlist.Netlist, pm *power.Model, cfg Config) []*Substitution 
 	cfg.Normalize()
 	start := time.Now()
 	sm := pm.Sim()
-	g := &generator{nl: nl, pm: pm, cfg: cfg, words: sm.Words(), tfoMask: make([]bool, nl.NumNodes())}
+	g := &generator{nl: nl, pm: pm, cfg: cfg, words: sm.Words(), tfoMask: make([]bool, nl.NumNodes()),
+		cones: netlist.NewDeadCones(nl)}
 
 	// Candidate source pool: all live stems, in topological order for
 	// determinism.
@@ -79,10 +80,10 @@ func Generate(nl *netlist.Netlist, pm *power.Model, cfg Config) []*Substitution 
 			obs := sm.StemObservability(a)
 			touched := nl.MarkTFO(a, g.tfoMask)
 			g.tfoMask[a] = true
-			cone := nl.DeadConeIfDetached(a, n.Fanouts())
+			g.cones.Stem(a)
 			g.target(&targetCtx{
 				a: a, g: netlist.InvalidNode, pin: -1,
-				obs: obs, tfo: g.tfoMask, cone: toSet(cone),
+				obs: obs, tfo: g.tfoMask,
 				av: sm.Value(a),
 			})
 			g.tfoMask[a] = false
@@ -110,10 +111,10 @@ func Generate(nl *netlist.Netlist, pm *power.Model, cfg Config) []*Substitution 
 				obs := sm.BranchObservability(gid, pin)
 				touched := nl.MarkTFO(gid, g.tfoMask)
 				g.tfoMask[gid] = true
-				cone := nl.DeadConeIfDetached(drv, []netlist.Branch{{Gate: gid, Pin: pin}})
+				g.cones.Branch(drv, netlist.Branch{Gate: gid, Pin: pin})
 				g.target(&targetCtx{
 					a: drv, g: gid, pin: pin,
-					obs: obs, tfo: g.tfoMask, cone: toSet(cone),
+					obs: obs, tfo: g.tfoMask,
 					av: sm.Value(drv),
 				})
 				g.tfoMask[gid] = false
@@ -158,24 +159,15 @@ func harvestObs(o *obs.Observer, cands []*Substitution, pool int, start time.Tim
 }
 
 type targetCtx struct {
-	a    netlist.NodeID // substituted stem (or branch driver)
-	g    netlist.NodeID // branch gate, InvalidNode for stem targets
-	pin  int
-	obs  []uint64
-	tfo  []bool                  // forbidden region for sources (cycles), indexed by NodeID
-	cone map[netlist.NodeID]bool // gates that would die
-	av   []uint64                // substituted signal's value words
+	a   netlist.NodeID // substituted stem (or branch driver)
+	g   netlist.NodeID // branch gate, InvalidNode for stem targets
+	pin int
+	obs []uint64
+	tfo []bool   // forbidden region for sources (cycles), indexed by NodeID
+	av  []uint64 // substituted signal's value words
 }
 
 func (t *targetCtx) isBranch() bool { return t.g != netlist.InvalidNode }
-
-func toSet(ids []netlist.NodeID) map[netlist.NodeID]bool {
-	m := make(map[netlist.NodeID]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
 
 type generator struct {
 	nl      *netlist.Netlist
@@ -184,7 +176,10 @@ type generator struct {
 	pool    []netlist.NodeID
 	words   int
 	tfoMask []bool
-	out     []*Substitution
+	// cones holds the dead cone of the current target: the gates that
+	// would die, which a reused inverter must not be among.
+	cones *netlist.DeadCones
+	out   []*Substitution
 }
 
 // sourceOK reports whether node b may drive the target without a cycle.
@@ -274,7 +269,7 @@ func (g *generator) makeTwo(t *targetCtx, b netlist.NodeID, inverted bool) *Subs
 	if inverted {
 		s.Inv = InvAdd
 		if inv := FindInverter(g.nl, b); inv != netlist.InvalidNode &&
-			g.sourceOK(t, inv) && !t.cone[inv] {
+			g.sourceOK(t, inv) && !g.cones.Contains(inv) {
 			s.Inv = InvReuse
 			s.InvNode = inv
 		}

@@ -8,41 +8,50 @@ import (
 
 // Analyzer computes the power-gain contributions of candidate
 // substitutions against one netlist + power model (paper Section 3.3).
+// It reuses its buffers across calls, so it is not safe for concurrent
+// use.
 type Analyzer struct {
-	nl *netlist.Netlist
-	pm *power.Model
+	nl    *netlist.Netlist
+	pm    *power.Model
+	cones *netlist.DeadCones
+	// src and alt are AnalyzeC's value-word buffers.
+	src, alt []uint64
 }
 
-// NewAnalyzer wraps a netlist and its power model.
+// NewAnalyzer wraps a netlist and its power model. The analyzer follows
+// later edits of both, so one serves a whole optimization run.
 func NewAnalyzer(nl *netlist.Netlist, pm *power.Model) *Analyzer {
-	return &Analyzer{nl: nl, pm: pm}
+	return &Analyzer{nl: nl, pm: pm, cones: netlist.NewDeadCones(nl)}
 }
 
 // AnalyzeAB fills s.GainAB (= PG_A + PG_B) and s.AreaDelta. Neither
 // requires any reestimation, exactly as the paper's pre-selection exploits.
+// It runs in time linear in the dead cone and its fanin pins and does not
+// allocate.
 func (an *Analyzer) AnalyzeAB(s *Substitution) {
 	nl, pm := an.nl, an.pm
 	moved := s.movedCap(nl)
-	detached := s.detachedBranches(nl)
 
 	// PG_A: the dominated region that dies, plus load relief on its
 	// boundary (Eq. 3). The substituting signal(s) pick up the moved load
 	// and survive, so they are excluded from the dead cone.
-	keep := []netlist.NodeID{s.Src.B}
+	var keepBuf [3]netlist.NodeID
+	keep := append(keepBuf[:0], s.Src.B)
 	if s.Src.IsThree() {
 		keep = append(keep, s.Src.C)
 	}
 	if s.Src.InvertB && s.Inv == InvReuse {
 		keep = append(keep, s.InvNode)
 	}
-	cone := nl.DeadConeIfDetached(s.A, detached, keep...)
-	coneSet := make(map[netlist.NodeID]bool, len(cone))
-	for _, id := range cone {
-		coneSet[id] = true
+	var cone []netlist.NodeID
+	if s.IsBranchSub() {
+		cone = an.cones.Branch(s.A, netlist.Branch{Gate: s.G, Pin: s.Pin}, keep...)
+	} else {
+		cone = an.cones.Stem(s.A, keep...)
 	}
 	pgA := 0.0
 	areaDelta := 0.0
-	if coneSet[s.A] {
+	if an.cones.Contains(s.A) {
 		for _, id := range cone {
 			pgA += nl.Load(id) * pm.TransitionProb(id)
 			areaDelta -= nl.Node(id).Cell().Area
@@ -52,7 +61,7 @@ func (an *Analyzer) AnalyzeAB(s *Substitution) {
 		for _, id := range cone {
 			n := nl.Node(id)
 			for pin, f := range n.Fanins() {
-				if !coneSet[f] {
+				if !an.cones.Contains(f) {
 					pgA += n.Cell().Pins[pin].Cap * pm.TransitionProb(f)
 				}
 			}
@@ -68,7 +77,7 @@ func (an *Analyzer) AnalyzeAB(s *Substitution) {
 	pgB := 0.0
 	switch {
 	case s.Src.IsThree():
-		eH := an.sourceTransitionProb(s)
+		eH := an.newGateTransitionProb(s)
 		eC := pm.TransitionProb(s.Src.C)
 		pgB = -(s.NewCell.Pins[0].Cap*eB + s.NewCell.Pins[1].Cap*eC + moved*eH)
 		areaDelta += s.NewCell.Area
@@ -86,21 +95,25 @@ func (an *Analyzer) AnalyzeAB(s *Substitution) {
 	s.AreaDelta = areaDelta
 }
 
-// sourceTransitionProb estimates E of the substituting signal, including
-// the output of a hypothetical new gate.
-func (an *Analyzer) sourceTransitionProb(s *Substitution) float64 {
-	if !s.Src.IsThree() {
-		return an.pm.TransitionProb(s.Src.B)
-	}
+// newGateTransitionProb estimates E of the output H = tt(B, C) of the gate
+// a 3-signal substitution inserts. It needs one popcount pass, over B AND
+// C: with the simulator's cached one-counts of B and C that fixes the
+// count of all four input minterms, and H's count is the sum over its
+// on-set.
+func (an *Analyzer) newGateTransitionProb(s *Substitution) float64 {
 	sm := an.pm.Sim()
-	bw := sm.Value(s.Src.B)
-	cw := sm.Value(s.Src.C)
+	b, c := s.Src.B, s.Src.C
+	n, nb, nc := sm.NumVectors(), sm.Ones(b), sm.Ones(c)
+	nbc := sm.CountOnesAnd(sm.Value(b), sm.Value(c))
+	// Minterm m of eval2TT: bit 0 is B, bit 1 is C.
+	minterms := [4]int{n - nb - nc + nbc, nb - nbc, nc - nbc, nbc}
 	ones := 0
-	for w := range bw {
-		ones += popcount(eval2TT(s.Src.Gate, bw[w], cw[w]) & sm.ValidMask(w))
+	for m, k := range minterms {
+		if s.Src.Gate.Eval(uint(m)) {
+			ones += k
+		}
 	}
-	p := float64(ones) / float64(sm.NumVectors())
-	return power.TransitionProbOf(p)
+	return power.TransitionProbOf(float64(ones) / float64(n))
 }
 
 // AnalyzeC fills s.GainC (= PG_C, Eq. 5) by hypothetically propagating the
@@ -115,7 +128,7 @@ func (an *Analyzer) AnalyzeC(s *Substitution) {
 	var root netlist.NodeID
 	var alt []uint64
 	if s.IsBranchSub() {
-		alt = make([]uint64, sm.Words())
+		alt = an.buffer(&an.alt)
 		sm.GateValueWithPin(s.G, s.Pin, srcWords, alt)
 		root = s.G
 	} else {
@@ -130,61 +143,51 @@ func (an *Analyzer) AnalyzeC(s *Substitution) {
 			// The substituted stem itself disappears; PG_A accounted for it.
 			continue
 		}
-		words := ov.Value(id)
-		ones := 0
-		for w := range words {
-			ones += popcount(words[w] & sm.ValidMask(w))
-		}
+		ones := sm.CountOnes(ov.Value(id))
 		eNew := power.TransitionProbOf(float64(ones) / float64(sm.NumVectors()))
 		pgC += nl.Load(id) * (pm.TransitionProb(id) - eNew)
 	}
 	s.GainC = pgC
 }
 
-// sourceWords returns the simulated value words of the substituting signal.
+// sourceWords returns the simulated value words of the substituting
+// signal, in a buffer reused by the next call.
 func (an *Analyzer) sourceWords(s *Substitution) []uint64 {
 	sm := an.pm.Sim()
 	bw := sm.Value(s.Src.B)
-	out := make([]uint64, len(bw))
-	if s.Src.IsThree() {
-		cw := sm.Value(s.Src.C)
-		for w := range bw {
-			out[w] = eval2TT(s.Src.Gate, bw[w], cw[w])
-		}
-		return out
-	}
-	if s.Src.InvertB {
+	out := an.buffer(&an.src)
+	switch {
+	case s.Src.IsThree():
+		eval2TT(s.Src.Gate, bw, sm.Value(s.Src.C), out)
+	case s.Src.InvertB:
 		for w := range bw {
 			out[w] = ^bw[w]
 		}
-		return out
-	}
-	copy(out, bw)
-	return out
-}
-
-// eval2TT evaluates a 2-variable truth table bit-parallel.
-func eval2TT(tt logic.TT, b, c uint64) uint64 {
-	var out uint64
-	if tt.Eval(0) {
-		out |= ^b & ^c
-	}
-	if tt.Eval(1) {
-		out |= b & ^c
-	}
-	if tt.Eval(2) {
-		out |= ^b & c
-	}
-	if tt.Eval(3) {
-		out |= b & c
+	default:
+		copy(out, bw)
 	}
 	return out
 }
 
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
+// buffer returns *buf sized to the simulator's word count.
+func (an *Analyzer) buffer(buf *[]uint64) []uint64 {
+	if w := an.pm.Sim().Words(); len(*buf) != w {
+		*buf = make([]uint64, w)
 	}
-	return n
+	return *buf
+}
+
+// eval2TT evaluates a 2-variable truth table bit-parallel into out.
+func eval2TT(tt logic.TT, b, c, out []uint64) {
+	// on[m] is all ones when minterm m (bit 0 = b, bit 1 = c) is in the
+	// on-set.
+	var on [4]uint64
+	for m := range on {
+		if tt.Eval(uint(m)) {
+			on[m] = ^uint64(0)
+		}
+	}
+	for w := range out {
+		out[w] = on[0]&^b[w]&^c[w] | on[1]&b[w]&^c[w] | on[2]&^b[w]&c[w] | on[3]&b[w]&c[w]
+	}
 }

@@ -123,7 +123,7 @@ func (s *Substitution) String() string {
 }
 
 // detachedBranches returns the branches the substitution detaches from
-// stem A.
+// stem A, as a copy the caller may keep across edits.
 func (s *Substitution) detachedBranches(nl *netlist.Netlist) []netlist.Branch {
 	if s.IsBranchSub() {
 		return []netlist.Branch{{Gate: s.G, Pin: s.Pin}}
@@ -133,8 +133,11 @@ func (s *Substitution) detachedBranches(nl *netlist.Netlist) []netlist.Branch {
 
 // movedCap returns the capacitance moved from A to the substituting signal.
 func (s *Substitution) movedCap(nl *netlist.Netlist) float64 {
+	if s.IsBranchSub() {
+		return nl.BranchCap(netlist.Branch{Gate: s.G, Pin: s.Pin})
+	}
 	c := 0.0
-	for _, b := range s.detachedBranches(nl) {
+	for _, b := range nl.Node(s.A).Fanouts() {
 		c += nl.BranchCap(b)
 	}
 	return c
