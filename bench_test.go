@@ -333,7 +333,9 @@ func BenchmarkKernelPermissibilityCheck(b *testing.B) {
 	if len(cands) == 0 {
 		b.Fatal("no candidates")
 	}
-	checker := atpg.NewChecker(nl)
+	// One checker for the whole loop, as in a worker's run of rejections:
+	// repeats reuse its base encoding and learned clauses.
+	checker := atpg.NewIncrementalChecker(nl)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := cands[i%len(cands)]

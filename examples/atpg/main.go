@@ -58,8 +58,8 @@ func main() {
 	// The same engine answers substitution permissibility: rewiring y's
 	// second pin from g to a is permissible exactly because g's faults are
 	// unobservable.
-	checker := atpg.NewChecker(nl)
-	verdict := checker.CheckBranch(y, 1, atpg.Source{B: a, C: netlist.InvalidNode})
+	checker := atpg.NewIncrementalChecker(nl)
+	verdict, _ := checker.CheckBranch(y, 1, atpg.Source{B: a, C: netlist.InvalidNode})
 	fmt.Printf("\nIS2: rewire y.pin1 (g) <- a: %v\n", verdict)
 	if verdict == atpg.Permissible {
 		fmt.Println("   ...which is how POWDER would delete the redundant AND gate.")

@@ -49,14 +49,14 @@ func plainSource(b netlist.NodeID) Source {
 
 func TestPaperFigure2Substitution(t *testing.T) {
 	nl, ids := fig2(t)
-	c := NewChecker(nl)
+	c := NewIncrementalChecker(nl)
 	// The paper's move: branch a->d (pin 0 of xor d) replaced by e = a*b.
 	// Permissible because the difference (a=1,b=0 vs ...) is unobservable.
-	if got := c.CheckBranch(ids["d"], 0, plainSource(ids["e"])); got != Permissible {
+	if got, _ := c.CheckBranch(ids["d"], 0, plainSource(ids["e"])); got != Permissible {
 		t.Errorf("figure 2 substitution = %v, want permissible", got)
 	}
 	// Replacing the same branch by b changes f: not permissible.
-	if got := c.CheckBranch(ids["d"], 0, plainSource(ids["b"])); got != NotPermissible {
+	if got, _ := c.CheckBranch(ids["d"], 0, plainSource(ids["b"])); got != NotPermissible {
 		t.Errorf("branch <- b = %v, want not-permissible", got)
 	}
 	if cex := c.Counterexample(); cex == nil {
@@ -65,11 +65,11 @@ func TestPaperFigure2Substitution(t *testing.T) {
 	// Substituting the stem d itself by e changes output f (f would become
 	// (a*b)*b = a*b instead of (a^c)*b): not permissible. Only the branch
 	// a->d rewiring above is the paper's permissible move.
-	if got := c.CheckStem(ids["d"], plainSource(ids["e"])); got != NotPermissible {
+	if got, _ := c.CheckStem(ids["d"], plainSource(ids["e"])); got != NotPermissible {
 		t.Errorf("stem d <- e = %v, want not-permissible", got)
 	}
 	// Substituting stem e (drives PO) by d: not permissible.
-	if got := c.CheckStem(ids["e"], plainSource(ids["d"])); got != NotPermissible {
+	if got, _ := c.CheckStem(ids["e"], plainSource(ids["d"])); got != NotPermissible {
 		t.Errorf("stem e <- d = %v, want not-permissible", got)
 	}
 }
@@ -92,14 +92,14 @@ func TestInvertedSource(t *testing.T) {
 	if err := nl.AddOutput("z", z); err != nil {
 		t.Fatal(err)
 	}
-	c := NewChecker(nl)
+	c := NewIncrementalChecker(nl)
 	// Pin 0 of y currently reads na = !a; the inverted source !a (B=a,
 	// InvertB) is identical, hence permissible.
-	if got := c.CheckBranch(y, 0, Source{B: a, InvertB: true, C: netlist.InvalidNode}); got != Permissible {
+	if got, _ := c.CheckBranch(y, 0, Source{B: a, InvertB: true, C: netlist.InvalidNode}); got != Permissible {
 		t.Errorf("inverted-source identity = %v, want permissible", got)
 	}
 	// Non-inverted a would change y: not permissible.
-	if got := c.CheckBranch(y, 0, plainSource(a)); got != NotPermissible {
+	if got, _ := c.CheckBranch(y, 0, plainSource(a)); got != NotPermissible {
 		t.Errorf("plain a = %v, want not-permissible", got)
 	}
 }
@@ -117,19 +117,19 @@ func TestThreeSignalSource(t *testing.T) {
 	if err := nl.AddOutput("y", y); err != nil {
 		t.Fatal(err)
 	}
-	c := NewChecker(nl)
+	c := NewIncrementalChecker(nl)
 	andTT := logic.TTFromExpr(logic.And(logic.Var(0), logic.Var(1)), 2)
 	orTT := logic.TTFromExpr(logic.Or(logic.Var(0), logic.Var(1)), 2)
-	if got := c.CheckStem(g, Source{B: a, C: b, Gate: andTT}); got != Permissible {
+	if got, _ := c.CheckStem(g, Source{B: a, C: b, Gate: andTT}); got != Permissible {
 		t.Errorf("OS3 with AND = %v, want permissible", got)
 	}
-	if got := c.CheckStem(g, Source{B: a, C: b, Gate: orTT}); got != NotPermissible {
+	if got, _ := c.CheckStem(g, Source{B: a, C: b, Gate: orTT}); got != NotPermissible {
 		t.Errorf("OS3 with OR = %v, want not-permissible", got)
 	}
 	// NAND with inverted inputs == OR; check invert folding:
 	// !( !a * !b ) = a+b, still not permissible.
 	nandTT := logic.TTFromExpr(logic.Not(logic.And(logic.Var(0), logic.Var(1))), 2)
-	if got := c.CheckStem(g, Source{B: a, InvertB: true, C: b, InvertC: true, Gate: nandTT}); got != NotPermissible {
+	if got, _ := c.CheckStem(g, Source{B: a, InvertB: true, C: b, InvertC: true, Gate: nandTT}); got != NotPermissible {
 		t.Errorf("OS3 with !(!a*!b) = %v, want not-permissible", got)
 	}
 	// !( a NAND b ) with plain inputs is AND: permissible. Fold the output
@@ -139,9 +139,9 @@ func TestThreeSignalSource(t *testing.T) {
 
 func TestSourceInsideTFORejected(t *testing.T) {
 	nl, ids := fig2(t)
-	c := NewChecker(nl)
+	c := NewIncrementalChecker(nl)
 	// f is in TFO(d): rewiring d's pin to f would be a cycle.
-	if got := c.CheckBranch(ids["d"], 0, plainSource(ids["f"])); got != NotPermissible {
+	if got, _ := c.CheckBranch(ids["d"], 0, plainSource(ids["f"])); got != NotPermissible {
 		t.Errorf("cycle-creating source = %v, want not-permissible", got)
 	}
 }
@@ -241,7 +241,7 @@ func TestCheckerAgainstBruteForce(t *testing.T) {
 		if err := nl.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		c := NewChecker(nl)
+		c := NewIncrementalChecker(nl)
 		// Pick random stem substitution candidates a <- b.
 		for k := 0; k < 8; k++ {
 			a := netlist.NodeID(rng.Intn(nl.NumNodes()))
@@ -253,7 +253,7 @@ func TestCheckerAgainstBruteForce(t *testing.T) {
 			if nl.TFO(a)[b] {
 				continue // would create a cycle; transform never proposes it
 			}
-			got := c.CheckStem(a, plainSource(b))
+			got, _ := c.CheckStem(a, plainSource(b))
 			if got == Aborted {
 				t.Fatalf("unexpected abort on tiny circuit")
 			}
@@ -435,7 +435,7 @@ func TestEval3(t *testing.T) {
 
 func TestCheckerStats(t *testing.T) {
 	nl, ids := fig2(t)
-	c := NewChecker(nl)
+	c := NewIncrementalChecker(nl)
 	c.CheckBranch(ids["d"], 0, plainSource(ids["e"]))
 	c.CheckBranch(ids["d"], 0, plainSource(ids["b"]))
 	if c.Stats.Checks != 2 || c.Stats.Permissible != 1 || c.Stats.Refuted != 1 {
@@ -443,5 +443,36 @@ func TestCheckerStats(t *testing.T) {
 	}
 	if c.Stats.String() == "" {
 		t.Errorf("stats should render")
+	}
+}
+
+// TestIncrementalSolverStaysBounded: refuted proofs with no apply in
+// between leave their retired scopes in the solver; the checker must
+// start over before that garbage outgrows the live encoding, so its
+// solver stays bounded however many proofs it runs, with verdicts and
+// statistics intact across the rebuilds.
+func TestIncrementalSolverStaysBounded(t *testing.T) {
+	nl, ids := fig2(t)
+	c := NewIncrementalChecker(nl)
+	const proofs = 2400
+	peak := 0
+	for i := 0; i < proofs; i++ {
+		want, src := NotPermissible, ids["b"]
+		if i%2 == 1 {
+			want, src = Permissible, ids["e"]
+		}
+		if got, _ := c.CheckBranch(ids["d"], 0, plainSource(src)); got != want {
+			t.Fatalf("proof %d: %v, want %v", i, got, want)
+		}
+		peak = max(peak, c.inc.Base().NumVars())
+	}
+	// Each proof opens a scope of a few variables; without rebuilds the
+	// solver would hold them all. With them, retired variables never
+	// outnumber the encoded nodes by more than one proof's scope.
+	if limit := 2*c.b.encoded + 16; peak > limit {
+		t.Fatalf("solver peaked at %d variables over %d proofs, want <= %d", peak, proofs, limit)
+	}
+	if c.Stats.Checks != proofs || c.Stats.Refuted != proofs/2 {
+		t.Fatalf("stats across rebuilds = %+v", c.Stats)
 	}
 }

@@ -1,15 +1,10 @@
 package atpg
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"powder/internal/logic"
 	"powder/internal/netlist"
-	"powder/internal/obs"
-	"powder/internal/obs/trace"
-	"powder/internal/sat"
 )
 
 // Verdict is the outcome of a permissibility check.
@@ -99,164 +94,6 @@ type CheckDetail struct {
 	Seconds   float64
 	// Budget is the conflict budget the proof ran under.
 	Budget int64
-}
-
-// Checker proves or refutes candidate substitutions on one netlist. It is
-// stateless across checks except for statistics, the last check's
-// detail, and the last counterexample; create one per netlist.
-type Checker struct {
-	nl *netlist.Netlist
-	// Budget is the conflict budget per check; exceeded means Aborted.
-	Budget int64
-	Stats  CheckStats
-	// Obs, when non-nil, receives one "check" event per proof (verdict,
-	// conflicts, decisions, budget consumption) and per-check metrics.
-	Obs *obs.Observer
-	// Ctx, when non-nil, is polled inside the SAT search; a cancelled
-	// context makes the in-flight proof return Aborted promptly.
-	Ctx context.Context
-	// LastCheck holds the detail of the most recent proof (each check
-	// overwrites it; escalated retries therefore report the final round).
-	LastCheck CheckDetail
-
-	// cex holds the distinguishing primary-input assignment of the last
-	// NotPermissible verdict, in input order.
-	cex []bool
-}
-
-// NewChecker returns a checker with the default proof budget.
-func NewChecker(nl *netlist.Netlist) *Checker {
-	return &Checker{nl: nl, Budget: 50000}
-}
-
-// Counterexample returns the primary-input assignment (in Inputs() order)
-// that refuted the last NotPermissible check, or nil.
-func (c *Checker) Counterexample() []bool { return c.cex }
-
-// CheckBranch decides whether rewiring pin pin of gate g to the source is
-// permissible (the IS2/IS3 forms).
-func (c *Checker) CheckBranch(g netlist.NodeID, pin int, src Source) Verdict {
-	return c.check("branch", []netlist.Branch{{Gate: g, Pin: pin}}, src)
-}
-
-// CheckStem decides whether substituting every fanout of stem a (including
-// primary outputs it drives) with the source is permissible (the OS2/OS3
-// forms).
-func (c *Checker) CheckStem(a netlist.NodeID, src Source) Verdict {
-	n := c.nl.Node(a)
-	branches := append([]netlist.Branch(nil), n.Fanouts()...)
-	return c.check("stem", branches, src)
-}
-
-// check runs one proof with outcome accounting: statistics, per-check
-// metrics, and a structured "check" event when an observer is attached.
-func (c *Checker) check(kind string, changed []netlist.Branch, src Source) Verdict {
-	c.Stats.Checks++
-	start := time.Now()
-	// One "prove" span per permissibility proof; the SAT solve inside
-	// nests under it through the derived context.
-	ctx, sp := trace.StartSpan(c.Ctx, "prove")
-	v, conflicts, decisions := c.decide(ctx, changed, src)
-	if sp != nil {
-		sp.SetAttr("kind", kind)
-		sp.SetAttr("verdict", v.String())
-		sp.SetAttr("branches", len(changed))
-		sp.SetAttr("conflicts", conflicts)
-		sp.SetAttr("decisions", decisions)
-		if c.Budget > 0 {
-			sp.SetAttr("budget", c.Budget)
-		}
-		sp.End()
-	}
-	switch v {
-	case Permissible:
-		c.Stats.Permissible++
-	case NotPermissible:
-		c.Stats.Refuted++
-	default:
-		c.Stats.Aborted++
-	}
-	c.Stats.Conflicts += conflicts
-	c.Stats.Decisions += decisions
-	c.LastCheck = CheckDetail{
-		Verdict:   v,
-		Conflicts: conflicts,
-		Decisions: decisions,
-		Seconds:   time.Since(start).Seconds(),
-		Budget:    c.Budget,
-	}
-
-	if m := c.Obs.Metrics(); m != nil {
-		m.Counter("atpg.checks").Inc()
-		m.Counter("atpg.verdict." + v.String()).Inc()
-		m.Counter("atpg.conflicts").Add(conflicts)
-		m.Counter("atpg.decisions").Add(decisions)
-		m.Histogram("atpg.check.seconds").ObserveSince(start)
-	}
-	if c.Obs.Tracing() {
-		f := obs.Fields{
-			"kind":      kind,
-			"verdict":   v.String(),
-			"branches":  len(changed),
-			"conflicts": conflicts,
-			"decisions": decisions,
-			"seconds":   time.Since(start).Seconds(),
-		}
-		if c.Budget > 0 {
-			f["budget"] = c.Budget
-			f["budget_used_pct"] = 100 * float64(conflicts) / float64(c.Budget)
-		}
-		c.Obs.Emit("check", f)
-	}
-	return v
-}
-
-// decide builds the substitution miter and decides it, returning the SAT
-// effort spent (zero for structural verdicts that never reach the solver).
-//
-// The miter shares the unchanged part of the circuit: the original cone is
-// encoded once; every gate in the transitive fanout of a rewired pin is
-// duplicated with the rewired pins reading the source signal. The check
-// asks whether any primary output can differ; UNSAT proves permissibility.
-func (c *Checker) decide(ctx context.Context, changed []netlist.Branch, src Source) (verdict Verdict, conflicts, decisions int64) {
-	nl := c.nl
-
-	p := planMiter(nl, changed, src)
-	// A source inside the duplicated region would mean a combinational
-	// cycle in the rewired circuit; such candidates are structural
-	// mistakes, never permissible rewirings.
-	if p.cyclic {
-		return NotPermissible, 0, 0
-	}
-
-	s := sat.New()
-	s.SetBudget(c.Budget)
-	s.SetContext(ctx)
-	b := newCNFBuilder(nl, s)
-
-	diffs := buildMiter(nl, b, s, p)
-	if len(diffs) == 0 {
-		// No primary output can observe the change.
-		return Permissible, 0, 0
-	}
-	if !s.AddClause(diffs...) {
-		return Permissible, 0, 0
-	}
-
-	switch s.Solve() {
-	case sat.Unsat:
-		return Permissible, s.Conflicts, s.Decisions
-	case sat.Sat:
-		c.cex = make([]bool, len(nl.Inputs()))
-		for i, in := range nl.Inputs() {
-			if v := b.varOf[in]; v >= 0 {
-				c.cex[i] = s.Value(v)
-			}
-		}
-		return NotPermissible, s.Conflicts, s.Decisions
-	default:
-		return Aborted, s.Conflicts, s.Decisions
-	}
 }
 
 // String renders the stats.

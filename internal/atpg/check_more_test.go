@@ -24,7 +24,7 @@ func TestCheckBranchAgainstBruteForce(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 30; trial++ {
 		nl := randomNetlist(t, rng, 5, 12)
-		c := NewChecker(nl)
+		c := NewIncrementalChecker(nl)
 		var gates []netlist.NodeID
 		nl.LiveNodes(func(n *netlist.Node) {
 			if n.Kind() == netlist.KindGate {
@@ -46,7 +46,7 @@ func TestCheckBranchAgainstBruteForce(t *testing.T) {
 			if nl.Node(g).Fanins()[pin] == b {
 				continue // no-op
 			}
-			got := c.CheckBranch(g, pin, Source{B: b, C: netlist.InvalidNode})
+			got, _ := c.CheckBranch(g, pin, Source{B: b, C: netlist.InvalidNode})
 			if got == Aborted {
 				t.Fatalf("unexpected abort")
 			}
@@ -103,7 +103,7 @@ func TestCheckStemThreeAgainstBruteForce(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 25; trial++ {
 		nl := randomNetlist(t, rng, 5, 10)
-		c := NewChecker(nl)
+		c := NewIncrementalChecker(nl)
 		var gates []netlist.NodeID
 		nl.LiveNodes(func(n *netlist.Node) {
 			if n.Kind() == netlist.KindGate && n.NumFanouts() > 0 {
@@ -126,7 +126,7 @@ func TestCheckStemThreeAgainstBruteForce(t *testing.T) {
 				continue
 			}
 			name := cellNames[rng.Intn(len(cellNames))]
-			got := c.CheckStem(a, Source{B: b, C: cc, Gate: cellTTs[name]})
+			got, _ := c.CheckStem(a, Source{B: b, C: cc, Gate: cellTTs[name]})
 			if got == Aborted {
 				t.Fatalf("unexpected abort")
 			}
@@ -152,7 +152,7 @@ func TestCheckInvertedAgainstBruteForce(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 20; trial++ {
 		nl := randomNetlist(t, rng, 5, 10)
-		c := NewChecker(nl)
+		c := NewIncrementalChecker(nl)
 		var gates []netlist.NodeID
 		nl.LiveNodes(func(n *netlist.Node) {
 			if n.Kind() == netlist.KindGate && n.NumFanouts() > 0 {
@@ -173,7 +173,7 @@ func TestCheckInvertedAgainstBruteForce(t *testing.T) {
 			if tfo[b] {
 				continue
 			}
-			got := c.CheckStem(a, Source{B: b, InvertB: true, C: netlist.InvalidNode})
+			got, _ := c.CheckStem(a, Source{B: b, InvertB: true, C: netlist.InvalidNode})
 			if got == Aborted {
 				t.Fatalf("unexpected abort")
 			}

@@ -26,6 +26,8 @@ type cnfBuilder struct {
 	s  sat.ClauseAdder
 	// varOf maps node IDs to solver variables; -1 = not yet encoded.
 	varOf []int
+	// encoded counts the nodes encoded so far, one variable each.
+	encoded int
 }
 
 func newCNFBuilder(nl *netlist.Netlist, s sat.ClauseAdder) *cnfBuilder {
@@ -42,6 +44,7 @@ func (b *cnfBuilder) nodeVar(id netlist.NodeID) int {
 	if b.varOf[id] >= 0 {
 		return b.varOf[id]
 	}
+	b.encoded++
 	n := b.nl.Node(id)
 	if n.Kind() == netlist.KindInput {
 		v := b.s.NewVar()

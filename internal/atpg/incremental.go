@@ -11,19 +11,27 @@ import (
 	"powder/internal/sat"
 )
 
-// IncrementalChecker proves candidate substitutions against one frozen
-// netlist snapshot on a single long-lived incremental solver. The base
-// cone is encoded once and shared by every miter; each proof adds only
-// its candidate-specific clauses (source, duplicated region, XOR taps) in
-// a retirable activation-literal scope, and learned clauses that do not
-// depend on a retired scope keep pruning later proofs. An optional shared
-// SigCache short-circuits re-harvested duplicates of refuted candidates
-// without a solve.
+// IncrementalChecker proves or refutes candidate substitutions against
+// one frozen netlist snapshot on a long-lived incremental solver. Each
+// proof builds the substitution miter — the unchanged circuit shared, the
+// transitive fanout of every rewired pin duplicated with the rewired pins
+// reading the source — and asks whether any primary output can differ;
+// UNSAT proves permissibility, and a budget overrun is the paper's "ATPG
+// aborted". The base cone is encoded once and shared by every miter; each
+// proof adds only its candidate-specific clauses (source, duplicated
+// region, XOR taps) in a retirable activation-literal scope, and learned
+// clauses that do not depend on a retired scope keep pruning later
+// proofs. Retired scopes stay in the solver as satisfied clauses, so once
+// their variables outnumber the live base-cone encoding the checker
+// starts over on a fresh solver; its memory stays proportional to the
+// circuit however many proofs it runs. An optional shared SigCache
+// short-circuits re-harvested duplicates of refuted candidates without a
+// solve.
 //
 // The wrapped netlist must not change while the checker is in use — the
 // permanent clauses mirror the snapshot taken at construction, and every
 // check panics if the netlist version has moved. Checkers are not safe
-// for concurrent use; the parallel engine runs one per worker per round.
+// for concurrent use.
 type IncrementalChecker struct {
 	nl      *netlist.Netlist
 	version int64
@@ -33,14 +41,17 @@ type IncrementalChecker struct {
 	// Budget is the conflict budget per check; exceeded means Aborted.
 	Budget int64
 	Stats  CheckStats
-	// Obs receives the same per-check events and metrics as Checker,
-	// plus atpg.sigcache.hits for cache short-circuits.
+	// Obs, when non-nil, receives one "check" event per proof (verdict,
+	// conflicts, decisions, budget consumption), per-check metrics, and
+	// atpg.sigcache.hits for cache short-circuits.
 	Obs *obs.Observer
-	// Ctx, when non-nil, is polled inside the SAT search.
+	// Ctx, when non-nil, is polled inside the SAT search; a cancelled
+	// context makes the in-flight proof return Aborted promptly.
 	Ctx context.Context
 	// Sig, when non-nil, is the (shared, thread-safe) refuted-miter cache.
 	Sig *SigCache
-	// LastCheck holds the detail of the most recent proof.
+	// LastCheck holds the detail of the most recent proof (each check
+	// overwrites it).
 	LastCheck CheckDetail
 
 	sigs nodeSigs
@@ -50,14 +61,15 @@ type IncrementalChecker struct {
 // NewIncrementalChecker returns an incremental checker over nl with the
 // default proof budget.
 func NewIncrementalChecker(nl *netlist.Netlist) *IncrementalChecker {
-	inc := sat.NewIncremental()
-	return &IncrementalChecker{
-		nl:      nl,
-		version: nl.Version(),
-		inc:     inc,
-		b:       newCNFBuilder(nl, inc.Base()),
-		Budget:  50000,
-	}
+	c := &IncrementalChecker{nl: nl, version: nl.Version(), Budget: 50000}
+	c.reset()
+	return c
+}
+
+// reset starts over on a fresh solver with nothing encoded.
+func (c *IncrementalChecker) reset() {
+	c.inc = sat.NewIncremental()
+	c.b = newCNFBuilder(c.nl, c.inc.Base())
 }
 
 // Counterexample returns the primary-input assignment (in Inputs() order)
@@ -65,17 +77,11 @@ func NewIncrementalChecker(nl *netlist.Netlist) *IncrementalChecker {
 // refutations have no counterexample.
 func (c *IncrementalChecker) Counterexample() []bool { return c.cex }
 
-// Scopes returns how many proof scopes were opened and retired, for
-// callers reporting clause-reuse effectiveness.
-func (c *IncrementalChecker) Scopes() (opened, retired int) {
-	return c.inc.ScopesOpened, c.inc.ScopesRetired
-}
-
 // CheckStem decides whether substituting every fanout of stem a with the
 // source is permissible. It additionally returns the proof's support set:
 // the nodes the verdict depends on (nil for structural verdicts and cache
-// hits). The parallel engine intersects it with concurrently touched
-// nodes to decide whether the verdict survives an interleaved edit.
+// hits). The optimizer intersects it with nodes touched by other regions'
+// commits to decide whether the verdict survives an interleaved edit.
 func (c *IncrementalChecker) CheckStem(a netlist.NodeID, src Source) (Verdict, []netlist.NodeID) {
 	n := c.nl.Node(a)
 	branches := append([]netlist.Branch(nil), n.Fanouts()...)
@@ -176,6 +182,10 @@ func (c *IncrementalChecker) decide(ctx context.Context, changed []netlist.Branc
 		}
 	}
 
+	// Every variable beyond the encoded nodes belongs to a retired scope.
+	if garbage := c.inc.Base().NumVars() - c.b.encoded; garbage > c.b.encoded {
+		c.reset()
+	}
 	base := c.inc.Base()
 	base.SetBudget(c.Budget)
 	base.SetContext(ctx)

@@ -29,8 +29,10 @@ func compileBenchmark(t *testing.T, name string) *netlist.Netlist {
 }
 
 // TestIncrementalParity: on every harvested candidate of two circuits,
-// the incremental checker agrees with the one-shot checker verdict for
-// verdict (modulo Aborted, which is budget-path dependent).
+// the checker's verdict matches a reference that shares no miter code
+// with it: apply the substitution to a clone and decide whether the
+// rewired circuit is equivalent to the original (modulo Aborted, which is
+// budget-path dependent).
 func TestIncrementalParity(t *testing.T) {
 	for _, name := range []string{"comp", "clip"} {
 		nl := compileBenchmark(t, name)
@@ -39,25 +41,24 @@ func TestIncrementalParity(t *testing.T) {
 		if len(cands) == 0 {
 			t.Fatalf("%s: no candidates", name)
 		}
-		oneShot := atpg.NewChecker(nl)
 		inc := atpg.NewIncrementalChecker(nl)
 		inc.Sig = atpg.NewSigCache()
 		for _, s := range cands {
-			var want atpg.Verdict
-			var got atpg.Verdict
-			var support []netlist.NodeID
-			if s.IsBranchSub() {
-				want = oneShot.CheckBranch(s.G, s.Pin, s.Src)
-				got, support = inc.CheckBranch(s.G, s.Pin, s.Src)
-			} else {
-				want = oneShot.CheckStem(s.A, s.Src)
-				got, support = inc.CheckStem(s.A, s.Src)
+			got, support := checkSub(inc, s)
+			rewired := nl.Clone()
+			if _, err := transform.Apply(rewired, s); err != nil {
+				t.Fatalf("%s: %v: apply: %v", name, s, err)
 			}
+			eq, err := atpg.Equivalent(nl, rewired, 0)
+			if err != nil {
+				t.Fatalf("%s: %v: equivalence: %v", name, s, err)
+			}
+			want := eq.Verdict
 			if want == atpg.Aborted || got == atpg.Aborted {
 				continue
 			}
 			if want != got {
-				t.Fatalf("%s: %v: one-shot %v, incremental %v", name, s, want, got)
+				t.Fatalf("%s: %v: rewired clone %v, incremental %v", name, s, want, got)
 			}
 			if got == atpg.Permissible {
 				inSupport := make(map[netlist.NodeID]bool, len(support))
@@ -151,15 +152,9 @@ func TestIncrementalVersionGuard(t *testing.T) {
 
 func pickApplicable(t *testing.T, nl *netlist.Netlist, cands []*transform.Substitution) *transform.Substitution {
 	t.Helper()
-	ck := atpg.NewChecker(nl)
+	ck := atpg.NewIncrementalChecker(nl)
 	for _, s := range cands {
-		var v atpg.Verdict
-		if s.IsBranchSub() {
-			v = ck.CheckBranch(s.G, s.Pin, s.Src)
-		} else {
-			v = ck.CheckStem(s.A, s.Src)
-		}
-		if v == atpg.Permissible {
+		if v, _ := checkSub(ck, s); v == atpg.Permissible {
 			return s
 		}
 	}

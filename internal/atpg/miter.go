@@ -5,10 +5,9 @@ import (
 	"powder/internal/sat"
 )
 
-// miterPlan is the structural analysis of one substitution miter, shared
-// by the one-shot and the incremental checker: which branches are
-// rewired, which primary outputs that touches directly, and which gates
-// must be duplicated because their function can change.
+// miterPlan is the structural analysis of one substitution miter: which
+// branches are rewired, which primary outputs that touches directly, and
+// which gates must be duplicated because their function can change.
 type miterPlan struct {
 	src        Source
 	changedPin map[netlist.Branch]bool
@@ -119,7 +118,7 @@ func buildMiter(nl *netlist.Netlist, b *cnfBuilder, scoped sat.ClauseAdder, p *m
 // outputs' drivers. As long as none of these nodes is touched by a
 // concurrent edit, the miter built on a pre-edit snapshot is isomorphic
 // to the one the post-edit netlist would produce, so the verdict carries
-// over; this is the conflict-detection set of the parallel engine.
+// over; this is the conflict-detection set of the region engine.
 func (p *miterPlan) support(nl *netlist.Netlist) []netlist.NodeID {
 	if p.cyclic {
 		return nil

@@ -153,10 +153,16 @@ func TestLedgerRecordsProofsAndRejects(t *testing.T) {
 		if m.Kind == "" || m.Target == "" || m.Source == "" {
 			t.Errorf("move %d missing provenance: %+v", m.Seq, m)
 		}
+		if m.Region != 0 {
+			t.Errorf("move %d of a one-region run carries region %d", m.Seq, m.Region)
+		}
 	}
 	for _, r := range res.Ledger.Rejects {
 		if r.Outcome != obs.LedgerRejected || r.Reason == "" {
 			t.Errorf("reject entry %d missing reason: %+v", r.Seq, r)
+		}
+		if r.Region != 0 {
+			t.Errorf("reject entry %d of a one-region run carries region %d", r.Seq, r.Region)
 		}
 	}
 }

@@ -20,10 +20,11 @@ import (
 )
 
 // Hooks are the injection points the optimization engine consults. Any
-// field may be nil; a nil hook never fires. The engine calls hooks from
-// a single goroutine; hooks that keep state across calls (the
-// constructors below) use atomics so tests may inspect them from other
-// goroutines.
+// field may be nil; a nil hook never fires. CorruptApply and Panic run on
+// the goroutine that commits substitutions, but ForceAbort also runs on
+// the region workers, concurrently when a run has several regions, so it
+// must be safe for concurrent use. Hooks that keep state across calls
+// (the constructors below) use atomics.
 type Hooks struct {
 	// CorruptApply, when non-nil, runs right after a substitution has
 	// been applied, while the edit transaction is still open. It may
@@ -36,7 +37,9 @@ type Hooks struct {
 	// ForceAbort, when non-nil, is consulted after every permissibility
 	// check; returning true overrides the verdict to Aborted (as if the
 	// proof budget had run out), exercising the reject and budget-
-	// escalation paths. check is the checker's running proof count.
+	// escalation paths. check is the running proof count of the calling
+	// prover — one region worker's round, or the commit phase's re-proofs
+	// — starting at 1.
 	ForceAbort func(check int) bool
 
 	// Panic, when non-nil, is consulted at the top of every apply

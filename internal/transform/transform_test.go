@@ -157,7 +157,7 @@ func TestPaperFigure2EndToEnd(t *testing.T) {
 	nl.POLoad = 0
 	pm := power.Estimate(nl, power.Options{})
 	an := NewAnalyzer(nl, pm)
-	checker := atpg.NewChecker(nl)
+	checker := atpg.NewIncrementalChecker(nl)
 
 	before := pm.Total()
 	s := &Substitution{
@@ -169,7 +169,7 @@ func TestPaperFigure2EndToEnd(t *testing.T) {
 	if s.Gain() <= 0 {
 		t.Fatalf("figure 2 move should have positive gain, got %v", s.Gain())
 	}
-	if got := checker.CheckBranch(s.G, s.Pin, s.Src); got != atpg.Permissible {
+	if got, _ := checker.CheckBranch(s.G, s.Pin, s.Src); got != atpg.Permissible {
 		t.Fatalf("figure 2 move should be permissible, got %v", got)
 	}
 	if _, err := Apply(nl, s); err != nil {
