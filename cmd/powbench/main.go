@@ -68,7 +68,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "per-circuit wall-clock budget; expired runs report their best result (0 = none)")
 		retries  = flag.Int("max-retries", 0, "per-circuit budget-escalation retries for aborted proofs (0 = no escalation)")
 		parallel = flag.Int("parallel", 1, "run circuits concurrently on this many workers (0 = GOMAXPROCS); output stays in circuit order")
-		par      = flag.Int("par", 1, "per-circuit engine parallelism: fanout-region workers inside each optimization (<=1 = sequential engine)")
+		par      = flag.Int("par", 1, "per-circuit engine parallelism: fanout-region workers inside each optimization (<=1 = one region)")
 
 		server     = flag.String("server", "", "run the suite against a powderd daemon at this base URL instead of in-process (honors -circuits, -timeout, -quiet)")
 		srvNoCache = flag.Bool("no-cache", false, "with -server: bypass the daemon's content-addressed result cache")

@@ -130,7 +130,7 @@ func main() {
 	flag.Int64Var(&cfg.budget, "budget", 0, "ATPG/SAT conflict budget per check (0 = default)")
 	flag.IntVar(&cfg.maxSubs, "max-subs", 0, "stop after this many substitutions (0 = unlimited)")
 	flag.IntVar(&cfg.maxRetries, "max-retries", 0, "budget-escalation retries for aborted proofs across the run (0 = no escalation)")
-	flag.IntVar(&cfg.par, "par", 1, "parallel fanout-region workers inside the optimization (<=1 = sequential engine, byte-identical to pre-parallel builds)")
+	flag.IntVar(&cfg.par, "par", 1, "parallel fanout-region workers inside the optimization (<=1 = one region: the paper's greedy loop)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "wall-clock budget, e.g. 30s; on expiry the best netlist so far is emitted (0 = none)")
 	flag.StringVar(&cfg.server, "server", "", "submit to a powderd daemon at this base URL (e.g. http://localhost:8844) instead of optimizing locally")
 	flag.BoolVar(&cfg.noCache, "no-cache", false, "with -server: bypass the daemon's content-addressed result cache")

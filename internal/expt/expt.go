@@ -142,7 +142,7 @@ type RunDetail struct {
 	Stopped        string               `json:"stopped,omitempty"`
 	// Parallel carries the region-engine scheduler statistics (worker
 	// utilization, commit share, conflict ledger) of a -par > 1 run; nil
-	// for the sequential engine.
+	// for one-region runs.
 	Parallel *core.ParallelStats `json:"parallel,omitempty"`
 	// Ledger carries the run-ledger totals (entry slices stripped): the
 	// predicted and realized gain sums and the per-reason reject counts.

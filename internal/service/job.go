@@ -67,7 +67,7 @@ type JobOptions struct {
 	// Parallelism is the engine's fanout-region worker count for this
 	// job (the ?par query parameter). Submit caps it at the service's
 	// pool size so one job can never oversubscribe the daemon; <= 1 runs
-	// the sequential engine.
+	// one region.
 	Parallelism int `json:"parallelism,omitempty"`
 	// ActivityDump carries the raw bytes of a workload activity dump
 	// (VCD or SAIF, sniffed by content) uploaded as the "activity" part

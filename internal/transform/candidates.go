@@ -28,7 +28,7 @@ type Config struct {
 	// TargetFilter, when non-nil, restricts harvesting to targets it
 	// accepts: stem substitutions of node A require TargetFilter(A), and
 	// branch substitutions into gate G require TargetFilter(G). The
-	// candidate *source* pool stays global. The parallel engine hands
+	// candidate *source* pool stays global. The region engine hands
 	// each region worker the filter of its region; disjoint filters
 	// partition the full candidate set.
 	TargetFilter func(netlist.NodeID) bool
