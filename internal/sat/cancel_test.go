@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"powder/internal/obs/trace"
 )
 
 // TestSolveCancelledMidSearch pins the cancellation latency contract: a
@@ -76,7 +78,7 @@ func TestSolveDeadlineContext(t *testing.T) {
 }
 
 // TestSolveBackgroundContextIsFree pins that a non-cancellable context
-// is dropped at SetContext time and solving proceeds to a real verdict.
+// is never polled and solving proceeds to a real verdict.
 func TestSolveBackgroundContextIsFree(t *testing.T) {
 	s := New()
 	pigeonhole(s, 4, 4)
@@ -86,5 +88,25 @@ func TestSolveBackgroundContextIsFree(t *testing.T) {
 	}
 	if s.Interrupted() {
 		t.Errorf("Interrupted() = true without cancellation")
+	}
+}
+
+// TestSolveSpanWhateverTheContext pins that a solve opens its sat-solve
+// span under the context's tracer whether or not the context can be
+// cancelled: skipping the polling must not lose the trace.
+func TestSolveSpanWhateverTheContext(t *testing.T) {
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for name, ctx := range map[string]context.Context{"background": context.Background(), "cancellable": cancellable} {
+		tr := trace.New(name, trace.Options{})
+		s := New()
+		pigeonhole(s, 4, 4)
+		s.SetContext(trace.NewContext(ctx, tr))
+		if r := s.Solve(); r != Sat {
+			t.Fatalf("%s: Solve = %v, want Sat", name, r)
+		}
+		if spans := tr.Snapshot(); len(spans) != 1 || spans[0].Name != "sat-solve" {
+			t.Errorf("%s: spans %+v, want one sat-solve span", name, spans)
+		}
 	}
 }
