@@ -101,22 +101,20 @@ func (c *IncrementalChecker) check(kind string, changed []netlist.Branch, src So
 	}
 	c.Stats.Checks++
 	start := time.Now()
-	ctx, sp := trace.StartSpan(c.Ctx, "prove")
+	ctx, sp := trace.StartSpan(c.Ctx, "atpg-check")
+	defer sp.End()
 	v, support, conflicts, decisions, cached := c.decide(ctx, changed, src)
-	if sp != nil {
-		sp.SetAttr("kind", kind)
-		sp.SetAttr("verdict", v.String())
-		sp.SetAttr("branches", len(changed))
-		sp.SetAttr("conflicts", conflicts)
-		sp.SetAttr("decisions", decisions)
-		sp.SetAttr("incremental", true)
-		if cached {
-			sp.SetAttr("sigcache", true)
-		}
-		if c.Budget > 0 {
-			sp.SetAttr("budget", c.Budget)
-		}
-		sp.End()
+	sp.SetAttr("kind", kind)
+	sp.SetAttr("verdict", v.String())
+	sp.SetAttr("branches", len(changed))
+	sp.SetAttr("conflicts", conflicts)
+	sp.SetAttr("decisions", decisions)
+	sp.SetAttr("incremental", true)
+	if cached {
+		sp.SetAttr("sigcache", true)
+	}
+	if c.Budget > 0 {
+		sp.SetAttr("budget", c.Budget)
 	}
 	switch v {
 	case Permissible:

@@ -8,8 +8,9 @@ import (
 	"time"
 )
 
-// PhaseSet accumulates wall time per named pipeline phase. A nil PhaseSet
-// is a no-op, so instrumented code never branches on enablement.
+// PhaseSet accumulates wall time per named pipeline phase; the span
+// tracer's self-time table (trace.StartTable) is one. A nil PhaseSet is
+// a no-op, so instrumented code never branches on enablement.
 type PhaseSet struct {
 	mu    sync.Mutex
 	order []string
@@ -39,16 +40,6 @@ func (p *PhaseSet) Add(name string, d time.Duration) {
 	p.count[name]++
 }
 
-// Start begins timing the named phase; the returned func stops it and
-// accumulates the elapsed time.
-func (p *PhaseSet) Start(name string) func() {
-	if p == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { p.Add(name, time.Since(t0)) }
-}
-
 // Snapshot returns the accumulated phases in first-seen order.
 func (p *PhaseSet) Snapshot() Phases {
 	if p == nil {
@@ -71,7 +62,7 @@ func (p *PhaseSet) Snapshot() Phases {
 type PhaseStat struct {
 	// Name is the phase label ("harvest", "atpg-check", ...).
 	Name string `json:"name"`
-	// Count is how many timed segments the phase accumulated.
+	// Count is how many timed segments (spans) the phase accumulated.
 	Count int64 `json:"count"`
 	// Seconds is the total wall time of the phase.
 	Seconds float64 `json:"seconds"`
