@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -193,5 +197,69 @@ func TestWriteReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q\n--- report ---\n%s", want, out)
 		}
+	}
+}
+
+// ledgerLines renders a run's ledger, applied and rejected entries merged
+// in Seq order, one "circuit seq outcome reason kind target source" line
+// per entry.
+func ledgerLines(name string, led *obs.LedgerSummary) []string {
+	all := append(append([]obs.LedgerAttempt(nil), led.Moves...), led.Rejects...)
+	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
+	lines := make([]string, len(all))
+	for i, a := range all {
+		reason := a.Reason
+		if reason == "" {
+			reason = "-"
+		}
+		lines[i] = fmt.Sprintf("%s %d %s %s %s %s %s", name, a.Seq, a.Outcome, reason, a.Kind, a.Target, a.Source)
+	}
+	return lines
+}
+
+// TestLedgerFollowsDecisionOrder pins the one-region ledger to decision
+// order: a round's rejects take their Seq between the round's applies,
+// exactly as the sequential loop recorded them. testdata/ledger_order.txt
+// holds the ledgers of comp and ttt2 as recorded at 98aa9fd, the last
+// commit with the sequential loop.
+func TestLedgerFollowsDecisionOrder(t *testing.T) {
+	want, err := os.ReadFile("testdata/ledger_order.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, name := range []string{"comp", "ttt2"} {
+		res, err := Optimize(compileBenchmark(t, name), Options{
+			Power:     powerOptsSmall(),
+			Transform: transform.Config{AllowInverted: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ledgerLines(name, res.Ledger)...)
+	}
+	if g, w := strings.Join(got, "\n")+"\n", string(want); g != w {
+		t.Errorf("ledger order differs from the sequential loop's:\ngot:\n%swant:\n%s", g, w)
+	}
+}
+
+// TestLedgerOrderDeterministicAcrossRegions pins that workers proving
+// concurrently do not decide the ledger order: two -par 4 runs record
+// the same entries in the same order.
+func TestLedgerOrderDeterministicAcrossRegions(t *testing.T) {
+	var runs [2][]string
+	for i := range runs {
+		res, err := Optimize(compileBenchmark(t, "clip"), Options{
+			Parallelism: 4,
+			Power:       powerOptsSmall(),
+			Transform:   transform.Config{AllowInverted: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = ledgerLines("clip", res.Ledger)
+	}
+	if !slices.Equal(runs[0], runs[1]) {
+		t.Errorf("two -par 4 runs recorded different ledgers:\n%s\n--\n%s", strings.Join(runs[0], "\n"), strings.Join(runs[1], "\n"))
 	}
 }
