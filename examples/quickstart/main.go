@@ -13,6 +13,7 @@ import (
 	"powder/internal/cellib"
 	"powder/internal/core"
 	"powder/internal/netlist"
+	"powder/internal/obs"
 	"powder/internal/power"
 	"powder/internal/transform"
 )
@@ -46,10 +47,11 @@ func main() {
 	fmt.Printf("initial:  power %.3f, area %.0f, %d gates\n",
 		pm.Total(), nl.Area(), nl.GateCount())
 
-	// POWDER: permissible substitutions with positive power gain.
+	// POWDER: permissible substitutions with positive power gain. The
+	// observer prints one line per performed substitution.
 	res, err := core.Optimize(nl, core.Options{
 		Transform: transform.Config{AllowInverted: true},
-		Trace:     func(s string) { fmt.Println("  ", s) },
+		Obs:       obs.New(obs.NewLineSink(func(s string) { fmt.Println("  ", s) }, "apply"), nil),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -41,12 +41,6 @@ func StemFault(stem netlist.NodeID, stuckAt1 bool) Fault {
 	return Fault{Stem: stem, BranchGate: netlist.InvalidNode, StuckAt1: stuckAt1}
 }
 
-// BranchFault returns the stuck-at fault on the branch feeding pin pin of
-// gate g in netlist nl.
-func BranchFault(nl *netlist.Netlist, g netlist.NodeID, pin int, stuckAt1 bool) Fault {
-	return Fault{Stem: nl.Node(g).Fanins()[pin], BranchGate: g, BranchPin: pin, StuckAt1: stuckAt1}
-}
-
 // IsBranch reports whether the fault sits on a branch.
 func (f Fault) IsBranch() bool { return f.BranchGate != netlist.InvalidNode }
 

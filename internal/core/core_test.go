@@ -3,11 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"powder/internal/cellib"
 	"powder/internal/logic"
 	"powder/internal/netlist"
+	"powder/internal/obs"
 	"powder/internal/sim"
 	"powder/internal/transform"
 )
@@ -208,12 +210,13 @@ func TestMaxSubstitutionsCap(t *testing.T) {
 func TestTraceCallback(t *testing.T) {
 	nl := redundantCircuit(t)
 	var lines []string
-	_, err := Optimize(nl, Options{Trace: func(s string) { lines = append(lines, s) }})
+	sink := obs.NewLineSink(func(s string) { lines = append(lines, s) }, "apply")
+	_, err := Optimize(nl, Options{Obs: obs.New(sink, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) == 0 {
-		t.Errorf("trace should have fired")
+	if len(lines) == 0 || !strings.HasPrefix(lines[0], "apply ") {
+		t.Errorf("trace lines %q, want one apply line per substitution", lines)
 	}
 }
 

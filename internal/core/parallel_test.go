@@ -116,7 +116,7 @@ func TestParallelDeterministic(t *testing.T) {
 func TestParallelCorruptedCommitRollsBack(t *testing.T) {
 	nl := compileBenchmark(t, "comp")
 	input := nl.Clone()
-	capture := obs.NewCaptureSink()
+	capture := &captureSink{}
 	// Corrupt every other commit by call count (the commit phase is
 	// serial, so a plain counter is race-free); the stock
 	// CorruptEveryApply keys on the applied count, which a rollback never

@@ -50,7 +50,7 @@ func mustEquivalent(t *testing.T, input, nl *netlist.Netlist, label string) {
 func TestCorruptedApplyIsRolledBack(t *testing.T) {
 	nl := redundantCircuit(t)
 	ref := nl.Clone()
-	capture := obs.NewCaptureSink()
+	capture := &captureSink{}
 	res, err := Optimize(nl, Options{
 		Transform: transform.Config{AllowInverted: true},
 		Inject:    &faultinject.Hooks{CorruptApply: faultinject.CorruptEveryApply(0, 1)},
@@ -252,7 +252,7 @@ func TestForcedAbortsEscalate(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		nl := redundantCircuit(t)
 		ref := nl.Clone()
-		capture := obs.NewCaptureSink()
+		capture := &captureSink{}
 		res, err := Optimize(nl, Options{
 			Parallelism: par,
 			MaxRetries:  8,

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"powder/internal/obs/promtest"
 )
 
 func TestLabeledCanonicalKey(t *testing.T) {
@@ -59,7 +61,7 @@ func TestLabeledCountersExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", line, out)
 		}
 	}
-	if _, err := ValidatePrometheus(strings.NewReader(out)); err != nil {
+	if _, err := promtest.Validate(strings.NewReader(out)); err != nil {
 		t.Errorf("labeled counter exposition does not validate: %v", err)
 	}
 }
@@ -91,7 +93,7 @@ func TestLabeledHistogramsExposition(t *testing.T) {
 	}
 	// The in-repo validator must accept a multi-series histogram family
 	// (buckets grouped per label signature, each cumulative).
-	if _, err := ValidatePrometheus(strings.NewReader(out)); err != nil {
+	if _, err := promtest.Validate(strings.NewReader(out)); err != nil {
 		t.Errorf("multi-series histogram exposition does not validate: %v", err)
 	}
 }

@@ -166,9 +166,10 @@ func (s *JSONLSink) Emit(e Event) {
 	_ = s.enc.Encode(rec)
 }
 
-// LineSink adapts a line-oriented func(string) callback (the legacy
-// core.Options.Trace / expt.RunOptions.Progress contract) into a Sink.
-// When names are given, only events with those names are rendered.
+// LineSink adapts a line-oriented func(string) callback into a Sink, one
+// FormatLine line per event: powder -v prints apply and reject events
+// this way. When names are given, only events with those names are
+// rendered.
 type LineSink struct {
 	fn    func(string)
 	names map[string]bool

@@ -141,14 +141,6 @@ func (r *Registry) WritePrometheus(w io.Writer, prefix string) {
 	}
 }
 
-// WritePromHistogram writes one unlabeled histogram family: the TYPE
-// line, cumulative buckets over ExpositionBounds, the +Inf bucket, and
-// the _sum/_count samples.
-func WritePromHistogram(w io.Writer, name string, h *Histogram) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	writePromHistogramSeries(w, name, "", h)
-}
-
 // writePromHistogramSeries writes the samples of one histogram series;
 // labels is the pre-rendered label body ("" for the unlabeled series)
 // merged before the le label on bucket lines.

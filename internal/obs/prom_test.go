@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"powder/internal/obs/promtest"
 )
 
 // TestWritePrometheusGolden pins the exposition byte-for-byte against
@@ -184,7 +186,7 @@ func TestQuantileKnownDistributions(t *testing.T) {
 func TestRuntimeMetricsValidate(t *testing.T) {
 	var sb strings.Builder
 	WriteRuntimeMetrics(&sb)
-	m, err := ValidatePrometheus(strings.NewReader(sb.String()))
+	m, err := promtest.Validate(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("runtime metrics invalid: %v\n%s", err, sb.String())
 	}
@@ -208,7 +210,7 @@ func TestExpositionParsesAndValidates(t *testing.T) {
 	}
 	var sb strings.Builder
 	r.WritePrometheus(&sb, "powder_")
-	m, err := ValidatePrometheus(strings.NewReader(sb.String()))
+	m, err := promtest.Validate(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("invalid exposition: %v\n%s", err, sb.String())
 	}

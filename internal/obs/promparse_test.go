@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"powder/internal/obs/promtest"
 )
 
 func TestParsePrometheusSamples(t *testing.T) {
@@ -17,7 +19,7 @@ lat_sum 1.25
 lat_count 2
 g{a="b",c="d\"e\\f\ng"} -3.5
 `
-	m, err := ParsePrometheus(strings.NewReader(in))
+	m, err := promtest.Parse(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +29,7 @@ g{a="b",c="d\"e\\f\ng"} -3.5
 	if v, ok := m.Value("x_total"); !ok || v != 42 {
 		t.Errorf("x_total = %v ok=%v", v, ok)
 	}
-	var g *PromSample
+	var g *promtest.Sample
 	for i := range m.Samples {
 		if m.Samples[i].Name == "g" {
 			g = &m.Samples[i]
@@ -40,7 +42,7 @@ g{a="b",c="d\"e\\f\ng"} -3.5
 		t.Errorf("g = %+v", g)
 	}
 	// +Inf label value must parse to infinity via the le accessor path.
-	var inf *PromSample
+	var inf *promtest.Sample
 	for i := range m.Samples {
 		if m.Samples[i].Name == "lat_bucket" && m.Samples[i].Labels["le"] == "+Inf" {
 			inf = &m.Samples[i]
@@ -56,7 +58,7 @@ g{a="b",c="d\"e\\f\ng"} -3.5
 
 func TestParsePrometheusSpecialValues(t *testing.T) {
 	in := "a +Inf\nb -Inf\nc NaN\n"
-	m, err := ParsePrometheus(strings.NewReader(in))
+	m, err := promtest.Parse(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestParsePrometheusRejectsMalformed(t *testing.T) {
 		`x{a="\q"} 1` + "\n",
 	}
 	for _, in := range bad {
-		if _, err := ParsePrometheus(strings.NewReader(in)); err == nil {
+		if _, err := promtest.Parse(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted malformed input %q", in)
 		}
 	}
@@ -99,7 +101,7 @@ h_bucket{le="+Inf"} 4
 h_sum 5.5
 h_count 4
 `
-	if _, err := ValidatePrometheus(strings.NewReader(valid)); err != nil {
+	if _, err := promtest.Validate(strings.NewReader(valid)); err != nil {
 		t.Errorf("valid histogram rejected: %v", err)
 	}
 
@@ -145,7 +147,7 @@ h_count 1
 `,
 	}
 	for name, in := range bad {
-		if _, err := ValidatePrometheus(strings.NewReader(in)); err == nil {
+		if _, err := promtest.Validate(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted invalid histogram", name)
 		}
 	}

@@ -25,8 +25,6 @@ type Options struct {
 	// DelayConstraint is the absolute required output time; <= 0 uses the
 	// circuit's current delay (re-sizing then must not slow it down).
 	DelayConstraint float64
-	// InputDrive is passed to the timing analysis.
-	InputDrive float64
 	// Power configures probability estimation when no model is supplied.
 	Power power.Options
 	// MaxRounds bounds the sweep count (default 4).
@@ -70,7 +68,7 @@ func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
 		InitialPower: pm.Total(),
 		InitialArea:  nl.Area(),
 	}
-	analysis := sta.NewWithInputDrive(nl, 0, opts.InputDrive)
+	analysis := sta.New(nl, 0)
 	res.InitialDelay = analysis.Delay()
 	constraint := opts.DelayConstraint
 	if constraint <= 0 {
@@ -86,7 +84,7 @@ func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
 	// though that costs input capacitance. This recovers the delay an
 	// unconstrained POWDER run traded away.
 	for round := 0; round < 4*opts.MaxRounds; round++ {
-		a := sta.NewWithInputDrive(nl, constraint, opts.InputDrive)
+		a := sta.New(nl, constraint)
 		if a.Delay() <= constraint+1e-9 {
 			break
 		}
@@ -106,7 +104,7 @@ func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
 				if err := nl.ReplaceCell(id, cand); err != nil {
 					return nil, err
 				}
-				d := sta.NewWithInputDrive(nl, constraint, opts.InputDrive).Delay()
+				d := sta.New(nl, constraint).Delay()
 				if err := nl.ReplaceCell(id, old); err != nil {
 					return nil, err
 				}
@@ -159,7 +157,7 @@ func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
 					if err := nl.ReplaceCell(id, cand); err != nil {
 						return nil, err
 					}
-					a := sta.NewWithInputDrive(nl, constraint, opts.InputDrive)
+					a := sta.New(nl, constraint)
 					if a.Delay() <= constraint+1e-9 {
 						best, bestGain = cand, gain
 					}
@@ -183,7 +181,7 @@ func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
 
 	res.FinalPower = pm.Total()
 	res.FinalArea = nl.Area()
-	res.FinalDelay = sta.NewWithInputDrive(nl, 0, opts.InputDrive).Delay()
+	res.FinalDelay = sta.New(nl, 0).Delay()
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("resize: netlist invalid after pass: %v", err)
 	}

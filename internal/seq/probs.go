@@ -7,9 +7,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"powder/internal/blif"
-	"powder/internal/netlist"
 )
 
 // ProbEntry is one parsed line of a signal-probability file.
@@ -103,14 +100,4 @@ func isStateLine(c *Circuit, name string) bool {
 		}
 	}
 	return false
-}
-
-// ResolveProbsNetlist is the combinational-circuit variant: the vector
-// covers every input of the netlist.
-func ResolveProbsNetlist(entries []ProbEntry, nl *netlist.Netlist) ([]float64, error) {
-	return ResolveProbs(entries, &Circuit{Model: &blif.Model{
-		Netlist:    nl,
-		NumInputs:  len(nl.Inputs()),
-		NumOutputs: len(nl.Outputs()),
-	}})
 }

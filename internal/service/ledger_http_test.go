@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"powder/internal/obs"
+	"powder/internal/obs/promtest"
 )
 
 // TestServiceLedgerEndpoint is the API acceptance scenario: a finished
@@ -117,7 +118,7 @@ func TestServiceMetricsPrometheus(t *testing.T) {
 	if ct := r.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
 		t.Errorf("Content-Type = %q, want the 0.0.4 exposition type", ct)
 	}
-	pm, err := obs.ValidatePrometheus(strings.NewReader(string(body)))
+	pm, err := promtest.Validate(strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, body)
 	}

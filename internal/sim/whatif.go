@@ -185,13 +185,3 @@ func (s *Simulator) BranchObservability(g netlist.NodeID, pin int) []uint64 {
 	s.propagate(g, s.altBuf)
 	return append([]uint64(nil), s.poDiff...)
 }
-
-// POObservabilityAlways returns an all-ones mask; primary-output branches
-// are always observable.
-func (s *Simulator) POObservabilityAlways() []uint64 {
-	out := make([]uint64, s.words)
-	for w := range out {
-		out[w] = s.ValidMask(w)
-	}
-	return out
-}

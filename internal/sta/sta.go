@@ -50,13 +50,13 @@ func NewWithInputDrive(nl *netlist.Netlist, constraint, inputDrive float64) *Ana
 	return a
 }
 
-// NewObserved is NewWithInputDrive with rebuild metrics: every call counts
-// one "sta.rebuilds" and records "sta.rebuild.seconds". Timing rebuilds
+// NewObserved is New with rebuild metrics: every call counts one
+// "sta.rebuilds" and records "sta.rebuild.seconds". Timing rebuilds
 // after each applied substitution are a known hot spot; the metrics make
 // their cost visible per run.
-func NewObserved(nl *netlist.Netlist, constraint, inputDrive float64, o *obs.Observer) *Analysis {
+func NewObserved(nl *netlist.Netlist, constraint float64, o *obs.Observer) *Analysis {
 	start := time.Now()
-	a := NewWithInputDrive(nl, constraint, inputDrive)
+	a := New(nl, constraint)
 	o.Counter("sta.rebuilds").Inc()
 	o.Histogram("sta.rebuild.seconds").ObserveSince(start)
 	return a
