@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Crash-recovery end-to-end test for powderd's durability layer.
 #
-# 1. A baseline daemon optimizes the "bw" benchmark uninterrupted.
+# 1. A baseline daemon optimizes the "spla" benchmark uninterrupted.
+#    spla runs for over a second, so step 2 can see the job running and
+#    kill the daemon before it finishes.
 # 2. A second daemon (fresh store) gets the same submission and is
 #    SIGKILLed while the job is running. Restarting it over the same
 #    -store-dir must re-enqueue the interrupted job and produce a
@@ -37,13 +39,14 @@ job_state() {
 }
 
 submit_job() {
-  curl -fsS -X POST --data-binary @"$WORK/bw.blif" "http://$1/v1/jobs" |
+  curl -fsS -X POST --data-binary @"$WORK/$CIRCUIT.blif" "http://$1/v1/jobs" |
     python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])'
 }
 
-# The initial mapped BLIF of the bw benchmark: both daemons must see
+# The initial mapped BLIF of the benchmark: both daemons must see
 # byte-identical submissions for the byte-identical-result assertion.
-go run scripts/emit_mapped.go bw > "$WORK/bw.blif"
+CIRCUIT=spla
+go run scripts/emit_mapped.go "$CIRCUIT" > "$WORK/$CIRCUIT.blif"
 
 # --- 1. uninterrupted baseline -------------------------------------
 "$POWDERD" -addr "$ADDR_A" -workers 1 -store-dir "$WORK/storeA" &
@@ -90,7 +93,7 @@ echo "recovered result is byte-identical to the uninterrupted run"
 # --- 3. duplicate submission served from the cache -----------------
 # powder -server compiles the same circuit to the same structure, so
 # the CLI path must hit the cache the curl submission populated.
-"$POWDER" -server "http://$ADDR_B" -circuit bw -out "$WORK/dup.blif" >"$WORK/dup.out" 2>&1
+"$POWDER" -server "http://$ADDR_B" -circuit "$CIRCUIT" -out "$WORK/dup.blif" >"$WORK/dup.out" 2>&1
 grep -q 'cached: result served' "$WORK/dup.out"
 cmp "$WORK/baseline.blif" "$WORK/dup.blif"
 curl -fsS "http://$ADDR_B/metrics" | grep '^powder_store_cache_hits_total' | grep -qv ' 0$'
