@@ -32,9 +32,10 @@ type FlightRecorder struct {
 // FlightEntry is one recorded moment.
 type FlightEntry struct {
 	Time time.Time `json:"time"`
-	// Kind classifies the entry: "event" (hub event), "span" (completed
-	// trace span), "http" (served request), "metric" (counter deltas
-	// since the previous sample), "panic", "signal".
+	// Kind classifies the entry: "event" (hub event), "http" (served
+	// request), "metric" (counter deltas since the previous sample) or
+	// "panic" (recovered pool task). Completed spans arrive only as
+	// "span" hub events, of kind "event".
 	Kind   string `json:"kind"`
 	Name   string `json:"name"`
 	Fields Fields `json:"fields,omitempty"`
