@@ -18,12 +18,13 @@
 // FILE supplies per-primary-input signal probabilities as "name=p" lines
 // for both combinational and sequential circuits.
 //
-// Observability: -trace-json streams structured JSONL run events
-// (harvest, check, apply, reject, metrics), -trace-perfetto records a
-// hierarchical span trace (optimize → round → region → harvest/
-// candidate → atpg-check → sat-solve, plus apply and escalation spans;
-// the phase breakdown is their self times) as Chrome/Perfetto
-// trace-event JSON, -ledger-json writes the run
+// Observability: every run moment is the end of a span (optimize →
+// round → region → harvest/candidate → atpg-check → sat-solve, plus
+// apply and escalation spans; the phase breakdown is their self times).
+// -trace-json streams the span ends as JSONL "span" records, closed by
+// one "metrics" record; -v prints one line per decided candidate;
+// -trace-perfetto writes the span tree as Chrome/Perfetto trace-event
+// JSON. -ledger-json writes the run
 // ledger (per-substitution provenance and power attribution), -report
 // renders a markdown run explanation to stdout, -metrics prints the
 // metrics registry and phase breakdown to stderr, and
@@ -41,6 +42,9 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"powder/internal/activity"
@@ -137,8 +141,8 @@ func main() {
 	noInv := flag.Bool("no-inverted", false, "disable inverted-source substitutions")
 	flag.BoolVar(&cfg.resize, "resize", false, "run the gate re-sizing pass after POWDER")
 	flag.BoolVar(&cfg.verify, "verify", false, "independently re-verify the optimized circuit against the original (SAT equivalence check)")
-	flag.BoolVar(&cfg.verbose, "v", false, "trace every performed substitution to stderr")
-	flag.StringVar(&cfg.traceJSON, "trace-json", "", "write structured run events as JSON Lines to this file")
+	flag.BoolVar(&cfg.verbose, "v", false, "print every applied or rejected substitution to stderr")
+	flag.StringVar(&cfg.traceJSON, "trace-json", "", "write the run's span ends and final metrics as JSON Lines to this file")
 	flag.StringVar(&cfg.tracePerfetto, "trace-perfetto", "", "write the run's hierarchical span trace as Chrome/Perfetto trace-event JSON to this file (load in ui.perfetto.dev)")
 	flag.StringVar(&cfg.ledgerJSON, "ledger-json", "", "write the run ledger (substitution provenance + power attribution) as JSON to this file")
 	flag.BoolVar(&cfg.report, "report", false, "print a markdown run report (attribution table, predicted-vs-realized, reject and proof stats) instead of the plain summary")
@@ -149,9 +153,7 @@ func main() {
 	cfg.inverted = !*noInv
 
 	// Ctrl-C asks the engine to stop and emit the best netlist so far; a
-	// second Ctrl-C kills the process the usual way. SIGQUIT dumps the
-	// flight recorder before the runtime's goroutine dump.
-	obs.FlightDumpOnQuit(nil)
+	// second Ctrl-C kills the process the usual way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -161,10 +163,11 @@ func main() {
 	}
 }
 
-// buildObserver assembles the observer of one run from the trace/metrics
-// flags; close releases the trace file. The returned observer is nil when
-// observability is off.
-func buildObserver(cfg config, stderr io.Writer) (o *obs.Observer, reg *obs.Registry, cleanup func(), err error) {
+// buildSink assembles the event views of one run from the flags: the
+// -trace-json file and the -v renderer, both fed by the tracer's span
+// ends. cleanup releases the trace file. The sink is nil when neither
+// flag is set.
+func buildSink(cfg config, stderr io.Writer) (sink obs.Sink, reg *obs.Registry, cleanup func(), err error) {
 	var sinks []obs.Sink
 	cleanup = func() {}
 	// -report reads proof-latency quantiles from the registry, so it
@@ -189,11 +192,44 @@ func buildObserver(cfg config, stderr io.Writer) (o *obs.Observer, reg *obs.Regi
 	}
 	if cfg.verbose {
 		// Substitution traces go to stderr so stdout stays a clean report.
-		sinks = append(sinks, obs.NewLineSink(func(s string) {
-			fmt.Fprintln(stderr, s)
-		}, "apply", "reject"))
+		sinks = append(sinks, verboseSink(stderr))
 	}
-	return obs.New(obs.Multi(sinks...), reg), reg, cleanup, nil
+	return obs.Multi(sinks...), reg, cleanup, nil
+}
+
+// verboseSink renders -v: one line per candidate span that ends with a
+// final outcome, "apply" for an applied substitution or "reject
+// reason=<code>" for a discarded one, then the span's other attributes
+// as sorted key=value pairs. A region worker's "proposed" spans are not
+// final (the commit phase decides them) and print nothing.
+func verboseSink(w io.Writer) obs.Sink {
+	var mu sync.Mutex
+	return obs.SinkFunc(func(e obs.Event) {
+		if e.Name != "span" || e.Fields["name"] != "candidate" {
+			return
+		}
+		outcome, _ := e.Fields["attr_outcome"].(string)
+		line := "reject reason=" + outcome
+		switch outcome {
+		case "proposed":
+			return
+		case "applied":
+			line = "apply"
+		}
+		var keys []string
+		for k := range e.Fields {
+			if strings.HasPrefix(k, "attr_") && k != "attr_outcome" {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			line += fmt.Sprintf(" %s=%v", strings.TrimPrefix(k, "attr_"), e.Fields[k])
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintln(w, line)
+	})
 }
 
 // coreInputNames lists the optimization core's input names: true primary
@@ -416,19 +452,19 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 		}
 	}
 
-	observer, reg, closeTrace, err := buildObserver(cfg, stderr)
+	sink, reg, closeTrace, err := buildSink(cfg, stderr)
 	if err != nil {
 		return err
 	}
 	defer closeTrace()
 
 	// The span tracer rides the context: the engine's "optimize" span is
-	// the trace root, so its duration is the optimization wall time. The
-	// completed spans also mirror onto the -trace-json event stream.
+	// the trace root, so its duration is the optimization wall time. Its
+	// span ends are the run's events: they feed -trace-json and -v.
 	var tracer *trace.Tracer
-	if cfg.tracePerfetto != "" {
+	if cfg.tracePerfetto != "" || sink != nil {
 		tracer = trace.New(nl.Name, trace.Options{
-			Obs:         observer,
+			Obs:         sink,
 			DropCounter: reg.Counter("trace.dropped.spans"),
 		})
 		ctx = trace.NewContext(ctx, tracer)
@@ -447,7 +483,7 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 		Power:            power.Options{Words: cfg.words, Seed: cfg.seed},
 		Transform:        transform.Config{AllowInverted: cfg.inverted},
 		Activity:         activityLabel,
-		Obs:              observer,
+		Metrics:          reg,
 	}
 
 	var original *netlist.Netlist
@@ -465,7 +501,6 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 				MaxIter:    cfg.fixMaxIter,
 				Damping:    cfg.fixDamping,
 				InputProbs: inputProbs,
-				Obs:        observer,
 			},
 		}
 		if binding != nil {
@@ -498,24 +533,26 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 	}
 
 	// The final metrics block: phase breakdown plus the registry snapshot,
-	// emitted as the last JSONL event and/or printed to stderr.
+	// emitted as the last JSONL record and/or printed to stderr.
 	if reg != nil {
 		snap := reg.Snapshot()
-		observer.Emit("metrics", obs.Fields{
-			"phases":          res.Phases.Map(),
-			"phase_seconds":   res.Phases.Seconds(),
-			"runtime_seconds": res.Runtime.Seconds(),
-			"rejects":         res.Rejects,
-			"counters":        snap.Counters,
-			"histograms":      snap.Histograms,
-		})
+		if sink != nil {
+			sink.Emit(obs.Event{Time: time.Now(), Name: "metrics", Fields: obs.Fields{
+				"phases":          res.Phases.Map(),
+				"phase_seconds":   res.Phases.Seconds(),
+				"runtime_seconds": res.Runtime.Seconds(),
+				"rejects":         res.Rejects,
+				"counters":        snap.Counters,
+				"histograms":      snap.Histograms,
+			}})
+		}
 		if cfg.metrics {
 			fmt.Fprintf(stderr, "phases: %s\n", res.Phases)
 			snap.WriteText(stderr)
 		}
 	}
 
-	if tracer != nil {
+	if cfg.tracePerfetto != "" {
 		f, err := os.Create(cfg.tracePerfetto)
 		if err != nil {
 			return err

@@ -19,7 +19,8 @@
 //	POST   /v1/jobs?timeout=30s&delay-limit=10&max-subs=100&verify=1
 //	GET    /v1/jobs/{id}
 //	GET    /v1/jobs/{id}/result.blif
-//	GET    /v1/jobs/{id}/events        NDJSON progress stream
+//	GET    /v1/jobs/{id}/events        NDJSON job events (+ span ends
+//	                                   of a traced job)
 //	GET    /v1/jobs/{id}/trace         span tree of a traced job
 //	DELETE /v1/jobs/{id}
 //	GET    /healthz
@@ -38,9 +39,9 @@
 // (powder -server -trace-perfetto does exactly this).
 //
 // The process keeps an always-on flight recorder — a bounded ring of
-// the most recent job events, completed spans, HTTP requests, and
-// periodic metric deltas — dumped at GET /debug/flight and, on SIGQUIT,
-// to stderr ahead of the runtime's goroutine dump.
+// the most recent job events (with the span ends of traced jobs), HTTP
+// requests, and periodic metric deltas — dumped at GET /debug/flight
+// and, on SIGQUIT, to stderr ahead of the runtime's goroutine dump.
 //
 // On SIGTERM/SIGINT the daemon stops accepting submissions (503),
 // drains queued and in-flight jobs, and exits; jobs still running when
@@ -77,7 +78,6 @@ func main() {
 		maxBody      = flag.Int64("max-body", 16<<20, "largest accepted BLIF body in bytes")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "default per-job wall-clock budget when the submission sets none (0 = unlimited)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for queued and in-flight jobs before cancelling them")
-		eventBuffer  = flag.Int("event-buffer", 0, "per-job event replay buffer (0 = default 4096)")
 		traceSample  = flag.Int64("trace-sample", 0, "span-trace one job in every N submissions (1 = every job, 0 = off)")
 		traceLimit   = flag.Int("trace-limit", 0, "recorded spans kept per traced job (0 = default 65536)")
 		storeDir     = flag.String("store-dir", "", "persist jobs and results here (WAL + snapshots); restarts recover the job table and re-enqueue interrupted work")
@@ -143,7 +143,6 @@ func main() {
 		Library:        lib,
 		MaxBodyBytes:   *maxBody,
 		DefaultTimeout: *jobTimeout,
-		EventBuffer:    *eventBuffer,
 		Registry:       reg,
 		TraceSample:    *traceSample,
 		TraceLimit:     *traceLimit,

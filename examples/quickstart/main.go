@@ -13,7 +13,6 @@ import (
 	"powder/internal/cellib"
 	"powder/internal/core"
 	"powder/internal/netlist"
-	"powder/internal/obs"
 	"powder/internal/power"
 	"powder/internal/transform"
 )
@@ -48,13 +47,16 @@ func main() {
 		pm.Total(), nl.Area(), nl.GateCount())
 
 	// POWDER: permissible substitutions with positive power gain. The
-	// observer prints one line per performed substitution.
+	// run ledger records every performed substitution in apply order.
 	res, err := core.Optimize(nl, core.Options{
 		Transform: transform.Config{AllowInverted: true},
-		Obs:       obs.New(obs.NewLineSink(func(s string) { fmt.Println("  ", s) }, "apply"), nil),
 	})
 	if err != nil {
 		log.Fatal(err)
+	}
+	for _, m := range res.Ledger.Moves {
+		fmt.Printf("   %s %s <- %s: power %.3f -> %.3f\n",
+			m.Kind, m.Target, m.Source, m.PowerBefore, m.PowerAfter)
 	}
 	fmt.Printf("optimized: power %.3f, area %.0f, %d gates (%.1f%% power reduction)\n",
 		res.Final.Power, res.Final.Area, res.Final.Gates, res.PowerReductionPct())

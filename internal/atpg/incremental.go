@@ -41,10 +41,10 @@ type IncrementalChecker struct {
 	// Budget is the conflict budget per check; exceeded means Aborted.
 	Budget int64
 	Stats  CheckStats
-	// Obs, when non-nil, receives one "check" event per proof (verdict,
-	// conflicts, decisions, budget consumption), per-check metrics, and
-	// atpg.sigcache.hits for cache short-circuits.
-	Obs *obs.Observer
+	// Metrics, when non-nil, receives the per-check metrics and
+	// atpg.sigcache.hits for cache short-circuits; each proof's detail is
+	// on its "atpg-check" span.
+	Metrics *obs.Registry
 	// Ctx, when non-nil, is polled inside the SAT search; a cancelled
 	// context makes the in-flight proof return Aborted promptly.
 	Ctx context.Context
@@ -134,7 +134,7 @@ func (c *IncrementalChecker) check(kind string, changed []netlist.Branch, src So
 		Budget:    c.Budget,
 	}
 
-	if m := c.Obs.Metrics(); m != nil {
+	if m := c.Metrics; m != nil {
 		m.Counter("atpg.checks").Inc()
 		m.Counter("atpg.verdict." + v.String()).Inc()
 		m.Counter("atpg.conflicts").Add(conflicts)
@@ -143,25 +143,6 @@ func (c *IncrementalChecker) check(kind string, changed []netlist.Branch, src So
 		if cached {
 			m.Counter("atpg.sigcache.hits").Inc()
 		}
-	}
-	if c.Obs.Tracing() {
-		f := obs.Fields{
-			"kind":        kind,
-			"verdict":     v.String(),
-			"branches":    len(changed),
-			"conflicts":   conflicts,
-			"decisions":   decisions,
-			"seconds":     time.Since(start).Seconds(),
-			"incremental": true,
-		}
-		if cached {
-			f["sigcache"] = true
-		}
-		if c.Budget > 0 {
-			f["budget"] = c.Budget
-			f["budget_used_pct"] = 100 * float64(conflicts) / float64(c.Budget)
-		}
-		c.Obs.Emit("check", f)
 	}
 	return v, support
 }

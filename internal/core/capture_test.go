@@ -1,14 +1,16 @@
 package core
 
 import (
+	"context"
 	"sync"
 
 	"powder/internal/obs"
+	"powder/internal/obs/trace"
 )
 
 // captureSink records every emitted event in memory, for tests that
-// assert on the event stream (rollbacks, escalations, stop reasons)
-// without going through a serialization sink.
+// assert on the span ends a run streams (rollbacks, escalations,
+// candidate outcomes) without going through a serialization sink.
 type captureSink struct {
 	mu     sync.Mutex
 	events []obs.Event
@@ -28,15 +30,19 @@ func (c *captureSink) Events() []obs.Event {
 	return append([]obs.Event(nil), c.events...)
 }
 
-// Count returns how many events with the given name were captured.
-func (c *captureSink) Count(name string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, e := range c.events {
-		if e.Name == name {
-			n++
+// Spans returns the fields of the captured span events named name, in
+// end order.
+func (c *captureSink) Spans(name string) []obs.Fields {
+	var out []obs.Fields
+	for _, e := range c.Events() {
+		if e.Name == "span" && e.Fields["name"] == name {
+			out = append(out, e.Fields)
 		}
 	}
-	return n
+	return out
+}
+
+// traced returns ctx carrying a tracer whose span ends stream into c.
+func (c *captureSink) traced(ctx context.Context) context.Context {
+	return trace.NewContext(ctx, trace.New("test", trace.Options{Obs: c}))
 }

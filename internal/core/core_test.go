@@ -1,15 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"powder/internal/cellib"
 	"powder/internal/logic"
 	"powder/internal/netlist"
-	"powder/internal/obs"
 	"powder/internal/sim"
 	"powder/internal/transform"
 )
@@ -207,16 +206,23 @@ func TestMaxSubstitutionsCap(t *testing.T) {
 	}
 }
 
+// TestTraceCallback pins that a tracer's sink sees every performed
+// substitution: one candidate span ending "applied" per apply.
 func TestTraceCallback(t *testing.T) {
 	nl := redundantCircuit(t)
-	var lines []string
-	sink := obs.NewLineSink(func(s string) { lines = append(lines, s) }, "apply")
-	_, err := Optimize(nl, Options{Obs: obs.New(sink, nil)})
+	capture := &captureSink{}
+	res, err := OptimizeCtx(capture.traced(context.Background()), nl, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) == 0 || !strings.HasPrefix(lines[0], "apply ") {
-		t.Errorf("trace lines %q, want one apply line per substitution", lines)
+	applied := 0
+	for _, f := range capture.Spans("candidate") {
+		if f["attr_outcome"] == "applied" {
+			applied++
+		}
+	}
+	if res.Applied == 0 || applied != res.Applied {
+		t.Errorf("%d candidate spans applied, want one per substitution (%d)", applied, res.Applied)
 	}
 }
 

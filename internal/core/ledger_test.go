@@ -178,7 +178,7 @@ func TestWriteReport(t *testing.T) {
 	res, err := Optimize(nl, Options{
 		Power:     powerOptsSmall(),
 		Transform: transform.Config{AllowInverted: true},
-		Obs:       obs.New(nil, reg),
+		Metrics:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -72,8 +72,9 @@ type proposal struct {
 }
 
 // rejection is a region worker's reject awaiting the commit phase. The
-// commit phase records it (ledger entry, event, counter) right after the
+// commit phase records it (ledger entry, counter) right after the
 // region's first before proposals, so the ledger follows decision order.
+// Its candidate span has already ended with the reason as its outcome.
 type rejection struct {
 	before int
 	reason string
@@ -109,11 +110,11 @@ type touchMark struct {
 
 // run is the state of one OptimizeCtx call. The round loop and the
 // commit phase own it; region workers only read it, apart from the
-// thread-safe observer, ledger, and signature cache.
+// thread-safe metrics registry, ledger, and signature cache.
 type run struct {
-	nl   *netlist.Netlist
-	opts *Options
-	o    *obs.Observer
+	nl      *netlist.Netlist
+	opts    *Options
+	metrics *obs.Registry
 	// span is the run's root span; it holds the phase table.
 	span *trace.Span
 	led  *obs.Ledger
@@ -123,9 +124,9 @@ type run struct {
 	// par accumulates the scheduling statistics; Result.Parallel points
 	// at it only when Parallelism > 1.
 	par *ParallelStats
-	// parObs is o when Parallelism > 1 and nil otherwise, so the core.par.*
-	// scheduling series exist only on multi-region runs.
-	parObs *obs.Observer
+	// parMetrics is metrics when Parallelism > 1 and nil otherwise, so
+	// the core.par.* scheduling series exist only on multi-region runs.
+	parMetrics *obs.Registry
 
 	pm *power.Model
 	// timing is the master's delay analysis, rebuilt on demand after the
@@ -164,7 +165,6 @@ func (r *run) stopRequested(ctx context.Context) bool {
 		} else {
 			r.res.Stopped = StopCancelled
 		}
-		r.o.Emit("stopped", obs.Fields{"reason": string(r.res.Stopped), "applied": r.res.Applied})
 	}
 	return true
 }
@@ -184,15 +184,27 @@ func (r *run) reportProgress(done bool) {
 	})
 }
 
-// seal ends the run's root span and stamps the closing summary: wall
-// time, the span self-time table, and the ledger totals under the run's
-// activity model.
+// seal ends the run's root span, which carries the run summary, and
+// stamps the closing results: wall time, the span self-time table, and
+// the ledger totals under the run's activity model.
 func (r *run) seal(start time.Time) {
-	r.span.SetAttr("applied", r.res.Applied)
-	r.span.SetAttr("harvests", r.res.Harvests)
-	r.span.SetAttr("stopped", string(r.res.Stopped))
-	r.span.SetAttr("reduction_pct", r.res.PowerReductionPct())
-	r.span.End()
+	res, sp := r.res, r.span
+	sp.SetAttr("applied", res.Applied)
+	sp.SetAttr("harvests", res.Harvests)
+	sp.SetAttr("candidates", res.Candidates)
+	sp.SetAttr("stopped", string(res.Stopped))
+	sp.SetAttr("power_initial", res.Initial.Power)
+	sp.SetAttr("power_final", res.Final.Power)
+	sp.SetAttr("reduction_pct", res.PowerReductionPct())
+	sp.SetAttr("rollbacks", res.Rejects[RejectRollback])
+	sp.SetAttr("escalations", res.Escalation.Retries)
+	if par := res.Parallel; par != nil {
+		sp.SetAttr("rounds", par.Rounds)
+		sp.SetAttr("conflicts", par.Conflicts)
+		sp.SetAttr("replays", par.Replays)
+		sp.SetAttr("sigcache_hits", par.SigCacheHits)
+	}
+	sp.End()
 	r.res.Runtime = time.Since(start)
 	r.res.Phases = r.span.Phases()
 	r.res.Ledger = r.led.Summary()
@@ -218,29 +230,36 @@ func (r *run) attempt(s *transform.Substitution, region int, proof *obs.LedgerPr
 	return a
 }
 
-// emit sends a structured event, labeled with the region on
-// multi-region runs.
-func (r *run) emit(name string, region int, f obs.Fields) {
-	if r.res.Parallel != nil {
-		f["region"] = region
-	}
-	r.o.Emit(name, f)
+// startCandidate opens the span of one selected candidate. endCandidate
+// closes it with its outcome: "applied", a reject reason, or "proposed"
+// for a region worker's proven substitution, which the commit phase
+// then decides under a candidate span of its own.
+func startCandidate(ctx context.Context, s *transform.Substitution, region int) (context.Context, *trace.Span) {
+	ctx, sp := trace.StartSpan(ctx, "candidate")
+	sp.SetAttr("kind", s.Kind.String())
+	sp.SetAttr("sub", s.String())
+	sp.SetAttr("gain", s.Gain())
+	sp.SetAttr("region", region)
+	return ctx, sp
 }
 
-// reject discards a selected candidate: the reason counter, a ledger
+func endCandidate(sp *trace.Span, outcome string) {
+	sp.SetAttr("outcome", outcome)
+	sp.End()
+}
+
+// reject discards a selected candidate: the reason counter and a ledger
 // provenance entry with the proof record when the candidate reached the
-// prover, and a structured event. Only the commit phase calls it.
+// prover. Only the commit phase calls it; the candidate's span carries
+// the reason as its outcome.
 func (r *run) reject(reason string, region int, s *transform.Substitution, proof *obs.LedgerProof) {
 	r.res.Rejects[reason]++
-	r.o.Counter("core.rejects." + reason).Inc()
+	r.metrics.Counter("core.rejects." + reason).Inc()
 	if r.led != nil {
 		a := r.attempt(s, region, proof)
 		a.Outcome, a.Reason = obs.LedgerRejected, reason
 		r.led.Record(a)
-		r.o.Counter("core.ledger.attempts").Inc()
-	}
-	if r.o.Tracing() {
-		r.emit("reject", region, obs.Fields{"reason": reason, "kind": s.Kind.String(), "sub": s.String()})
+		r.metrics.Counter("core.ledger.attempts").Inc()
 	}
 }
 
@@ -259,7 +278,7 @@ func verdictReason(v atpg.Verdict) string {
 func (r *run) round(ctx context.Context, round int) bool {
 	nl, res, par := r.nl, r.res, r.par
 	par.Rounds++
-	r.parObs.Counter("core.par.rounds").Inc()
+	r.parMetrics.Counter("core.par.rounds").Inc()
 	baseNodes := netlist.NodeID(nl.NumNodes())
 	d := partition.Decompose(nl, r.opts.Parallelism)
 	par.Regions += len(d.Regions)
@@ -330,7 +349,7 @@ func (r *run) round(ctx context.Context, round int) bool {
 	commitWall := time.Since(commitStart).Seconds()
 	par.CommitSeconds += commitWall
 	if parWall+commitWall > 0 {
-		r.parObs.Histogram("core.par.commit.share").Observe(commitWall / (parWall + commitWall))
+		r.parMetrics.Histogram("core.par.commit.share").Observe(commitWall / (parWall + commitWall))
 	}
 	return res.Applied > applied
 }
@@ -388,8 +407,8 @@ func (r *run) runWorkers(ctx context.Context, rSpan *trace.Span, d *partition.De
 	par.ParallelSeconds += parWall
 	par.MaxBarrierSkewSeconds = max(par.MaxBarrierSkewSeconds, skew)
 	if parWall > 0 {
-		r.parObs.Histogram("core.par.worker.busy_frac").Observe(roundBusy / (float64(r.opts.Parallelism) * parWall))
-		r.parObs.Histogram("core.par.barrier.skew.seconds").Observe(skew)
+		r.parMetrics.Histogram("core.par.worker.busy_frac").Observe(roundBusy / (float64(r.opts.Parallelism) * parWall))
+		r.parMetrics.Histogram("core.par.barrier.skew.seconds").Observe(skew)
 	}
 	return reports, parWall
 }
@@ -410,7 +429,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 	wSpan.SetTrack(workerTrack(region))
 	wSpan.SetAttr("region", region)
 	defer wSpan.End()
-	opts, o := r.opts, r.o
+	opts := r.opts
 
 	// Replica construction: Clone preserves node IDs and the power
 	// estimate is deterministic in (netlist, options), so replica node
@@ -420,7 +439,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 	phase(wctx, "par-replica", func() {
 		replica = r.nl.Clone()
 		powerOpts := opts.Power
-		powerOpts.Obs = nil
+		powerOpts.Metrics = nil
 		rpm = power.Estimate(replica, powerOpts)
 	})
 
@@ -429,8 +448,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 	if len(d.Regions) > 1 {
 		cfg.TargetFilter = func(id netlist.NodeID) bool { return d.RegionOf(id) == region }
 	}
-	var cands []*transform.Substitution
-	phase(wctx, "harvest", func() { cands = transform.Generate(replica, rpm, cfg) })
+	cands := transform.GenerateCtx(wctx, replica, rpm, cfg)
 	rep.candidates = len(cands)
 	wSpan.SetAttr("candidates", len(cands))
 	if len(cands) == 0 {
@@ -447,8 +465,9 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 	var timing *sta.Analysis
 	pv := &prover{r: r, nl: replica, retries: &rep.retries, escal: &rep.escal}
 	defer func() { rep.stats = pv.stats() }()
-	reject := func(reason string, s *transform.Substitution, proof *obs.LedgerProof) {
+	reject := func(sp *trace.Span, reason string, s *transform.Substitution, proof *obs.LedgerProof) {
 		rep.rejected = append(rep.rejected, rejection{len(rep.proposals), reason, s, proof})
+		endCandidate(sp, reason)
 	}
 
 	var valid []int
@@ -485,7 +504,8 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 			// next round re-harvests after the structural changes, and
 			// the run ends once a round applies nothing.
 			if best != nil {
-				reject(RejectLowGain, best, nil)
+				_, cSpan := startCandidate(wctx, best, region)
+				reject(cSpan, RejectLowGain, best, nil)
 			}
 			break
 		}
@@ -494,25 +514,14 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 
 		// One span per selected candidate; the proof (with its SAT solves
 		// and escalation steps) nests under it.
-		cctx, cSpan := trace.StartSpan(wctx, "candidate")
-		cSpan.SetAttr("kind", best.Kind.String())
-		cSpan.SetAttr("sub", best.String())
-		cSpan.SetAttr("gain", best.Gain())
-		cSpan.SetAttr("region", region)
-		endCandidate := func(outcome string) {
-			cSpan.SetAttr("outcome", outcome)
-			cSpan.End()
-		}
-
+		cctx, cSpan := startCandidate(wctx, best, region)
 		if r.res.Constraint > 0 && !r.delayOK(cctx, &timing, replica, best, nil) {
-			reject(RejectDelay, best, nil)
-			endCandidate(RejectDelay)
+			reject(cSpan, RejectDelay, best, nil)
 			continue // increases_delay -> discard, pick the next best
 		}
 		verdict, support, proof := pv.prove(cctx, best)
 		if verdict != atpg.Permissible {
-			reject(verdictReason(verdict), best, proof)
-			endCandidate(verdictReason(verdict))
+			reject(cSpan, verdictReason(verdict), best, proof)
 			continue
 		}
 
@@ -525,8 +534,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		aSpan.End()
 		if applyErr != nil {
 			txn.Rollback()
-			reject(RejectApplyConflict, best, proof)
-			endCandidate(RejectApplyConflict)
+			reject(cSpan, RejectApplyConflict, best, proof)
 			continue
 		}
 		txn.Commit()
@@ -538,7 +546,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 			support: support,
 			added:   applyRes.Added,
 		})
-		endCandidate("proposed")
+		endCandidate(cSpan, "proposed")
 		repeat--
 		// The run ends at the commit that reaches MaxSubstitutions
 		// (Applied only changes in the commit phase).
@@ -557,7 +565,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 					kept = append(kept, s)
 				} else {
 					rep.rejects[RejectStale]++
-					o.Counter("core.rejects." + RejectStale).Inc()
+					r.metrics.Counter("core.rejects." + RejectStale).Inc()
 					r.led.CountReject(RejectStale)
 				}
 			}
@@ -598,10 +606,12 @@ func (ch *regionChain) mapID(id netlist.NodeID) (netlist.NodeID, bool) {
 // invariants plus a primary-output signature re-simulation); damage
 // rolls it back and the run continues.
 func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched map[netlist.NodeID]touchMark) {
-	nl, o, res, region := r.nl, r.o, r.res, ch.region
+	nl, m, res, region := r.nl, r.metrics, r.res, ch.region
 	ms, ok := mapSub(p.sub, ch.mapID)
 	if !ok || !candidateValid(nl, ms) {
+		_, sp := startCandidate(ctx, p.sub, region)
 		r.reject(RejectStale, region, p.sub, p.proof)
+		endCandidate(sp, RejectStale)
 		ch.broken = true
 		return
 	}
@@ -613,15 +623,10 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 		return
 	}
 
-	pctx, pSpan := trace.StartSpan(ctx, "candidate")
-	pSpan.SetAttr("kind", ms.Kind.String())
-	pSpan.SetAttr("sub", ms.String())
-	pSpan.SetAttr("gain", ms.Gain())
-	pSpan.SetAttr("region", region)
+	pctx, pSpan := startCandidate(ctx, ms, region)
 	fail := func(reason string, proof *obs.LedgerProof) {
 		r.reject(reason, region, ms, proof)
-		pSpan.SetAttr("outcome", reason)
-		pSpan.End()
+		endCandidate(pSpan, reason)
 		ch.broken = true
 	}
 
@@ -629,7 +634,7 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 	if conflict != "" {
 		// Serial re-proof against the actual master state.
 		r.par.Replays++
-		r.parObs.Counter("core.par.replays").Inc()
+		r.parMetrics.Counter("core.par.replays").Inc()
 		pSpan.SetAttr("conflict", true)
 		pSpan.SetAttr("conflict_kind", conflict)
 		var verdict atpg.Verdict
@@ -639,7 +644,7 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 			return
 		}
 	}
-	if (ch.foreign || ch.broken) && r.res.Constraint > 0 && !r.delayOK(pctx, &r.timing, nl, ms, o) {
+	if (ch.foreign || ch.broken) && r.res.Constraint > 0 && !r.delayOK(pctx, &r.timing, nl, ms, m) {
 		fail(RejectDelay, proof)
 		return
 	}
@@ -688,10 +693,8 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 	if applyErr != nil {
 		txn.Rollback()
 		phase(pctx, "power-resync", r.pm.Resync)
+		pSpan.SetAttr("error", applyErr.Error())
 		fail(reason, proof)
-		if o.Tracing() {
-			r.emit("rollback", region, obs.Fields{"sub": ms.String(), "error": applyErr.Error()})
-		}
 		return
 	}
 	txn.Commit()
@@ -716,28 +719,20 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 		a.Outcome, a.PowerBefore, a.PowerAfter, a.RealizedGain = obs.LedgerApplied, pBefore, pAfter, pBefore-pAfter
 		a.Cone = coneDeltas(nl, r.perNodeBefore, r.perNodeAfter)
 		r.led.Record(a)
-		o.Counter("core.ledger.attempts").Inc()
-		o.Counter("core.ledger.applied").Inc()
-		o.Histogram("core.ledger.realized_gain").Observe(pBefore - pAfter)
+		m.Counter("core.ledger.attempts").Inc()
+		m.Counter("core.ledger.applied").Inc()
+		m.Histogram("core.ledger.realized_gain").Observe(pBefore - pAfter)
 	}
 	cs := res.ByClass[ms.Kind]
 	cs.Count++
 	cs.PowerGain += ms.Gain()
 	cs.AreaDelta += ms.AreaDelta
 	res.Applied++
-	o.Counter("core.applied").Inc()
-	o.Histogram("core.apply.gain").Observe(ms.Gain())
-	if o.Tracing() {
-		r.emit("apply", region, obs.Fields{
-			"sub":        ms.String(),
-			"kind":       ms.Kind.String(),
-			"gain":       ms.Gain(),
-			"area_delta": ms.AreaDelta,
-			"applied":    res.Applied,
-		})
-	}
-	pSpan.SetAttr("outcome", "applied")
-	pSpan.End()
+	m.Counter("core.applied").Inc()
+	m.Histogram("core.apply.gain").Observe(ms.Gain())
+	pSpan.SetAttr("area_delta", ms.AreaDelta)
+	pSpan.SetAttr("applied", res.Applied)
+	endCandidate(pSpan, "applied")
 	r.reportProgress(false)
 	if r.opts.MaxSubstitutions > 0 && res.Applied >= r.opts.MaxSubstitutions {
 		res.Stopped = StopMaxSubs
@@ -756,9 +751,9 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 // delayOK reports whether applying s keeps nl within the run's delay
 // constraint, first building *timing (nl's delay analysis, nil after an
 // edit) when needed.
-func (r *run) delayOK(ctx context.Context, timing **sta.Analysis, nl *netlist.Netlist, s *transform.Substitution, o *obs.Observer) bool {
+func (r *run) delayOK(ctx context.Context, timing **sta.Analysis, nl *netlist.Netlist, s *transform.Substitution, m *obs.Registry) bool {
 	if *timing == nil {
-		phase(ctx, "delay-analysis", func() { *timing = sta.NewObserved(nl, r.res.Constraint, o) })
+		phase(ctx, "delay-analysis", func() { *timing = sta.NewObserved(nl, r.res.Constraint, m) })
 	}
 	_, sp := trace.StartSpan(ctx, "delay-check")
 	defer sp.End()
@@ -806,7 +801,7 @@ func (r *run) verifySafetyNet(ctx context.Context) {
 	case err == nil && eq.Verdict == atpg.Permissible:
 		r.lastGood = r.nl.Clone()
 		r.res.SafetyRefreshes++
-		r.o.Counter("core.safety.refresh").Inc()
+		r.metrics.Counter("core.safety.refresh").Inc()
 	case err == nil && eq.Verdict == atpg.NotPermissible:
 		r.nl.RestoreFrom(r.lastGood)
 		r.pm.Resync()
@@ -844,7 +839,7 @@ func (p *prover) checker() *atpg.IncrementalChecker {
 		addCheckStats(&p.replaced, p.c.Stats)
 	}
 	p.c = atpg.NewIncrementalChecker(p.nl)
-	p.c.Obs = p.r.o
+	p.c.Metrics = p.r.metrics
 	p.c.Sig = p.r.sig
 	if p.r.opts.CheckBudget > 0 {
 		p.c.Budget = p.r.opts.CheckBudget
@@ -883,7 +878,7 @@ func (p *prover) prove(ctx context.Context, s *transform.Substitution) (atpg.Ver
 			*p.retries--
 			p.escal.Retries++
 			proof.Escalations++
-			r.o.Counter("core.escalation.retries").Inc()
+			r.metrics.Counter("core.escalation.retries").Inc()
 			// Each retry gets its own child span so an escalation ladder
 			// is visible as stacked re-proofs under the candidate.
 			c.Ctx, eSpan = trace.StartSpan(ctx, "escalate")
@@ -906,6 +901,7 @@ func (p *prover) prove(ctx context.Context, s *transform.Substitution) (atpg.Ver
 		}
 		if eSpan != nil {
 			eSpan.SetAttr("verdict", verdict.String())
+			eSpan.SetAttr("retries_left", *p.retries)
 			eSpan.End()
 		}
 	}
@@ -916,21 +912,13 @@ func (p *prover) prove(ctx context.Context, s *transform.Substitution) (atpg.Ver
 	switch verdict {
 	case atpg.Permissible:
 		p.escal.Permissible++
-		r.o.Counter("core.escalation.permissible").Inc()
+		r.metrics.Counter("core.escalation.permissible").Inc()
 	case atpg.NotPermissible:
 		p.escal.Refuted++
-		r.o.Counter("core.escalation.refuted").Inc()
+		r.metrics.Counter("core.escalation.refuted").Inc()
 	default:
 		p.escal.Exhausted++
-		r.o.Counter("core.escalation.exhausted").Inc()
-	}
-	if r.o.Tracing() {
-		r.o.Emit("escalate", obs.Fields{
-			"sub":          s.String(),
-			"verdict":      verdict.String(),
-			"budget":       c.Budget,
-			"retries_left": *p.retries,
-		})
+		r.metrics.Counter("core.escalation.exhausted").Inc()
 	}
 	return verdict, support, proof
 }
@@ -1023,8 +1011,8 @@ func postApplyTouched(nl *netlist.Netlist, res *transform.ApplyResult) []netlist
 func (r *run) recordConflict(region, other int, node, kind string) {
 	r.par.Conflicts++
 	r.conf.Record(region+1, other+1, node, kind)
-	r.parObs.Counter("core.par.conflicts").Inc()
-	r.parObs.Counter(obs.Labeled("par.conflicts", "kind", kind)).Inc()
+	r.parMetrics.Counter("core.par.conflicts").Inc()
+	r.parMetrics.Counter(obs.Labeled("par.conflicts", "kind", kind)).Inc()
 }
 
 // markTouched stamps ids as touched by region, upgrading to shared when a

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"powder/internal/faultinject"
 	"powder/internal/netlist"
-	"powder/internal/obs"
 	"powder/internal/transform"
 )
 
@@ -129,12 +129,11 @@ func TestParallelCorruptedCommitRollsBack(t *testing.T) {
 		}
 		return nil
 	}
-	res, err := Optimize(nl, Options{
+	res, err := OptimizeCtx(capture.traced(context.Background()), nl, Options{
 		Parallelism: 8,
 		VerifyEvery: 2,
 		Transform:   transform.Config{AllowInverted: true},
 		Inject:      &faultinject.Hooks{CorruptApply: corrupt},
-		Obs:         obs.New(capture, nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,10 +51,9 @@ func TestCorruptedApplyIsRolledBack(t *testing.T) {
 	nl := redundantCircuit(t)
 	ref := nl.Clone()
 	capture := &captureSink{}
-	res, err := Optimize(nl, Options{
+	res, err := OptimizeCtx(capture.traced(context.Background()), nl, Options{
 		Transform: transform.Config{AllowInverted: true},
 		Inject:    &faultinject.Hooks{CorruptApply: faultinject.CorruptEveryApply(0, 1)},
-		Obs:       obs.New(capture, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +64,14 @@ func TestCorruptedApplyIsRolledBack(t *testing.T) {
 	if res.Rejects[RejectRollback] == 0 {
 		t.Fatalf("no rollback rejects recorded: %v", res.Rejects)
 	}
-	if n := capture.Count("rollback"); n == 0 {
-		t.Errorf("no rollback events emitted")
+	rolledBack := 0
+	for _, f := range capture.Spans("candidate") {
+		if f["attr_outcome"] == RejectRollback && f["attr_error"] != nil {
+			rolledBack++
+		}
+	}
+	if rolledBack != res.Rejects[RejectRollback] {
+		t.Errorf("%d candidate spans end rolled back with an error, want %d", rolledBack, res.Rejects[RejectRollback])
 	}
 	if err := nl.Validate(); err != nil {
 		t.Fatalf("netlist invalid after rollbacks: %v", err)
@@ -227,7 +232,7 @@ func TestOneRegionEmitsNoParMetrics(t *testing.T) {
 			Parallelism: par,
 			Power:       powerOptsSmall(),
 			Transform:   transform.Config{AllowInverted: true},
-			Obs:         obs.New(nil, reg),
+			Metrics:     reg,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -253,12 +258,11 @@ func TestForcedAbortsEscalate(t *testing.T) {
 		nl := redundantCircuit(t)
 		ref := nl.Clone()
 		capture := &captureSink{}
-		res, err := Optimize(nl, Options{
+		res, err := OptimizeCtx(capture.traced(context.Background()), nl, Options{
 			Parallelism: par,
 			MaxRetries:  8,
 			Transform:   transform.Config{AllowInverted: true},
 			Inject:      &faultinject.Hooks{ForceAbort: faultinject.AbortFirstN(2)},
-			Obs:         obs.New(capture, nil),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -269,8 +273,14 @@ func TestForcedAbortsEscalate(t *testing.T) {
 		if res.Escalation.Permissible+res.Escalation.Refuted == 0 {
 			t.Errorf("-par %d: escalation never reached a real verdict: %+v", par, res.Escalation)
 		}
-		if n := capture.Count("escalate"); n == 0 {
-			t.Errorf("-par %d: no escalate events emitted", par)
+		escalations := capture.Spans("escalate")
+		if len(escalations) != res.Escalation.Retries {
+			t.Errorf("-par %d: %d escalate spans, want one per retry (%d)", par, len(escalations), res.Escalation.Retries)
+		}
+		for _, f := range escalations {
+			if f["attr_retries_left"] == nil {
+				t.Errorf("-par %d: escalate span without retries_left: %v", par, f)
+			}
 		}
 		if res.Applied == 0 {
 			t.Errorf("-par %d: escalated run applied nothing", par)

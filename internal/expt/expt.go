@@ -60,30 +60,24 @@ type RunOptions struct {
 	// circuit index, so tables and reports render in the same order as a
 	// sequential run; only the interleaving of progress lines differs.
 	Parallel int
-	// Obs, when non-nil, receives experiment-level "progress" events and
-	// is threaded into every core.Optimize call (run events + metrics).
-	Obs *obs.Observer
 	// Tracer, when non-nil, records a hierarchical span trace of every
 	// Table 1 engine run: one "table1-free"/"table1-constr" root per
 	// circuit with the engine's optimize/harvest/prove/apply spans
 	// nested below (powbench -trace-perfetto). With Parallel > 1 the
 	// roots of concurrent circuits interleave on the shared trace.
 	Tracer *trace.Tracer
-	// Progress, when non-nil, receives one line per circuit step.
-	// Deprecated compatibility adapter over the event sink; prefer Obs.
+	// Progress, when non-nil, receives one line per circuit step: the
+	// harness's only progress report.
 	Progress func(string)
 
 	mapMode synth.CostMode
 }
 
-// progressf reports one experiment step through the observer and the
-// legacy Progress callback.
+// progressf reports one experiment step to the Progress callback.
 func (o *RunOptions) progressf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
 	if o.Progress != nil {
-		o.Progress(msg)
+		o.Progress(fmt.Sprintf(format, args...))
 	}
-	o.Obs.Emit("progress", obs.Fields{"msg": msg})
 }
 
 func (o *RunOptions) normalize() {
@@ -92,9 +86,6 @@ func (o *RunOptions) normalize() {
 	}
 	if !o.DisableInverted {
 		o.Core.Transform.AllowInverted = true
-	}
-	if o.Obs != nil {
-		o.Core.Obs = obs.Tee(o.Core.Obs, o.Obs)
 	}
 	o.mapMode = synth.CostPower
 	if o.MapArea {

@@ -10,16 +10,17 @@ import (
 )
 
 // FlightRecorder is the always-on postmortem buffer: a fixed ring of
-// the most recent observability moments — events, completed spans,
-// HTTP requests, and periodic metric deltas — kept regardless of
-// whether sampling or tracing is enabled, so a crash or a hung daemon
+// the most recent observability moments — hub events, HTTP requests,
+// pool panics and periodic metric deltas — kept regardless of whether
+// sampling or tracing is enabled, so a crash or a hung daemon
 // can always be explained from its last seconds of history. Recording
 // is one mutex acquisition and a slot overwrite (no allocation beyond
 // the caller's field map), cheap enough to leave on permanently.
 //
-// The recorder implements Sink, so it can be Multi'd behind any event
-// hub; powderd additionally mirrors job spans and HTTP requests into
-// it and dumps it at GET /debug/flight, on panic, and on SIGQUIT.
+// The recorder implements Sink, so it can mirror any event hub:
+// powderd mirrors every job's hub into it (job lifecycle events, and
+// the span ends of traced jobs), records HTTP requests, pool panics and
+// counter deltas, and dumps it at GET /debug/flight and on SIGQUIT.
 type FlightRecorder struct {
 	mu    sync.Mutex
 	ring  []FlightEntry
@@ -63,33 +64,25 @@ func NewFlightRecorder(limit int) *FlightRecorder {
 // Record adds one entry, overwriting the oldest when full. A nil
 // recorder is a no-op.
 func (f *FlightRecorder) Record(kind, name string, fields Fields) {
-	if f == nil {
-		return
-	}
-	e := FlightEntry{Time: time.Now(), Kind: kind, Name: name, Fields: fields}
-	f.mu.Lock()
-	if len(f.ring) < f.limit {
-		f.ring = append(f.ring, e)
-	} else {
-		f.ring[f.head] = e
-		f.head = (f.head + 1) % f.limit
-	}
-	f.total++
-	f.mu.Unlock()
+	f.insert(FlightEntry{Time: time.Now(), Kind: kind, Name: name, Fields: fields})
 }
 
 // Emit implements Sink: hub events mirror into the ring as "event"
 // entries.
 func (f *FlightRecorder) Emit(e Event) {
+	f.insert(FlightEntry{Time: e.Time, Kind: "event", Name: e.Name, Fields: e.Fields})
+}
+
+// insert is the one ring insert behind Record and Emit.
+func (f *FlightRecorder) insert(e FlightEntry) {
 	if f == nil {
 		return
 	}
-	fe := FlightEntry{Time: e.Time, Kind: "event", Name: e.Name, Fields: e.Fields}
 	f.mu.Lock()
 	if len(f.ring) < f.limit {
-		f.ring = append(f.ring, fe)
+		f.ring = append(f.ring, e)
 	} else {
-		f.ring[f.head] = fe
+		f.ring[f.head] = e
 		f.head = (f.head + 1) % f.limit
 	}
 	f.total++

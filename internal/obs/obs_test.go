@@ -10,28 +10,17 @@ import (
 )
 
 func TestNilEverythingIsNoOp(t *testing.T) {
-	var o *Observer
-	if o.Tracing() {
-		t.Errorf("nil observer claims to trace")
-	}
-	o.Emit("x", Fields{"a": 1}) // must not panic
-	if o.Metrics() != nil {
-		t.Errorf("nil observer has metrics")
-	}
-	o.Counter("c").Inc()
-	o.Counter("c").Add(5)
-	if got := o.Counter("c").Value(); got != 0 {
-		t.Errorf("nil counter value = %d", got)
-	}
-	o.Histogram("h").Observe(1)
-	o.Histogram("h").ObserveSince(time.Now())
-	if o.Histogram("h").Count() != 0 || o.Histogram("h").Quantile(0.5) != 0 {
-		t.Errorf("nil histogram not empty")
-	}
-
 	var r *Registry
 	r.Counter("c").Inc()
+	r.Counter("c").Add(5)
+	if got := r.Counter("c").Value(); got != 0 {
+		t.Errorf("nil counter value = %d", got)
+	}
 	r.Histogram("h").Observe(1)
+	r.Histogram("h").ObserveSince(time.Now())
+	if r.Histogram("h").Count() != 0 || r.Histogram("h").Quantile(0.5) != 0 {
+		t.Errorf("nil histogram not empty")
+	}
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty")
@@ -41,18 +30,6 @@ func TestNilEverythingIsNoOp(t *testing.T) {
 	p.Add("x", time.Second)
 	if p.Snapshot() != nil {
 		t.Errorf("nil phase set snapshot not nil")
-	}
-}
-
-func TestNewCollapsesToNil(t *testing.T) {
-	if New(nil, nil) != nil {
-		t.Errorf("New(nil, nil) should be nil so the fast path stays free")
-	}
-	if Tee(nil, nil) != nil {
-		t.Errorf("Tee(nil, nil) should be nil")
-	}
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Errorf("Multi of no live sinks should be nil")
 	}
 }
 
@@ -141,12 +118,9 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
-	o := New(NewJSONLSink(&buf), nil)
-	if !o.Tracing() {
-		t.Fatalf("observer with sink must trace")
-	}
-	o.Emit("apply", Fields{"kind": "OS2", "gain": 0.25})
-	o.Emit("reject", Fields{"reason": "delay"})
+	s := NewJSONLSink(&buf)
+	s.Emit(Event{Time: time.Now(), Name: "apply", Fields: Fields{"kind": "OS2", "gain": 0.25}})
+	s.Emit(Event{Time: time.Now(), Name: "reject", Fields: Fields{"reason": "delay"}})
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -170,39 +144,18 @@ func TestJSONLSink(t *testing.T) {
 	}
 }
 
-func TestLineSinkFilterAndFormat(t *testing.T) {
-	var lines []string
-	s := NewLineSink(func(l string) { lines = append(lines, l) }, "apply")
-	s.Emit(Event{Name: "reject", Fields: Fields{"reason": "stale"}})
-	s.Emit(Event{Name: "apply", Fields: Fields{"msg": "OS2 n3<-n7", "gain": 0.5}})
-	if len(lines) != 1 {
-		t.Fatalf("filter passed %d lines, want 1", len(lines))
+func TestMulti(t *testing.T) {
+	if Multi() != nil || Multi(nil, nil) != nil {
+		t.Errorf("Multi of no live sinks should be nil")
 	}
-	if lines[0] != "apply OS2 n3<-n7 gain=0.5" {
-		t.Errorf("line = %q", lines[0])
-	}
-
-	// Unfiltered sink sees everything.
-	var all []string
-	NewLineSink(func(l string) { all = append(all, l) }).Emit(Event{Name: "x"})
-	if len(all) != 1 || all[0] != "x" {
-		t.Errorf("unfiltered = %v", all)
-	}
-}
-
-func TestTeeAndMulti(t *testing.T) {
 	var a, b bytes.Buffer
-	reg := NewRegistry()
-	o := Tee(New(NewJSONLSink(&a), reg), New(NewJSONLSink(&b), nil))
-	o.Emit("ev", nil)
+	sa := NewJSONLSink(&a)
+	if got := Multi(nil, sa); got != Sink(sa) {
+		t.Errorf("Multi of one live sink should be that sink")
+	}
+	Multi(sa, NewJSONLSink(&b)).Emit(Event{Name: "ev"})
 	if a.Len() == 0 || b.Len() == 0 {
-		t.Errorf("tee did not fan out: a=%d b=%d", a.Len(), b.Len())
-	}
-	if o.Metrics() != reg {
-		t.Errorf("tee lost the registry")
-	}
-	if got := Tee(nil, o); got != o {
-		t.Errorf("Tee(nil, o) != o")
+		t.Errorf("Multi did not fan out: a=%d b=%d", a.Len(), b.Len())
 	}
 }
 
@@ -263,14 +216,11 @@ func TestRegistrySnapshotAndText(t *testing.T) {
 	}
 }
 
-// BenchmarkDisabledEmit measures the nil fast path: the per-event cost
-// with observability off must stay in the nanosecond range.
-func BenchmarkDisabledEmit(b *testing.B) {
-	var o *Observer
+// BenchmarkDisabledCounter measures the nil fast path: a counter bump
+// with metrics off must stay in the nanosecond range.
+func BenchmarkDisabledCounter(b *testing.B) {
+	var r *Registry
 	for i := 0; i < b.N; i++ {
-		if o.Tracing() {
-			o.Emit("apply", Fields{"i": i})
-		}
-		o.Counter("c").Inc()
+		r.Counter("c").Inc()
 	}
 }

@@ -98,32 +98,6 @@ func TestPhaseSetConcurrentTimers(t *testing.T) {
 	}
 }
 
-func TestObserverConcurrentEmitToHub(t *testing.T) {
-	hub := NewHub(0)
-	reg := NewRegistry()
-	o := New(hub, reg)
-	var wg sync.WaitGroup
-	for g := 0; g < hammerGoroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				o.Emit("tick", Fields{"g": g, "i": i})
-				o.Counter("ticks").Inc()
-				o.Histogram("tick.val").Observe(float64(i))
-			}
-		}(g)
-	}
-	wg.Wait()
-	hub.Close()
-	if got := int64(len(hub.Events())) + hub.Dropped(); got < int64(300*hammerGoroutines) {
-		t.Fatalf("hub saw %d events (buffered+dropped), want >= %d", got, 300*hammerGoroutines)
-	}
-	if got := o.Counter("ticks").Value(); got != int64(300*hammerGoroutines) {
-		t.Fatalf("ticks = %d, want %d", got, 300*hammerGoroutines)
-	}
-}
-
 // TestHubConcurrentSubscribeReplayDrop hammers one Hub with parallel
 // emitters, churning subscribers (replay + cancel), drop-counter swaps,
 // and snapshot readers. The replay cap is tiny so the drop-accounting

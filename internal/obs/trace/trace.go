@@ -25,9 +25,10 @@
 // preserves parent closure — every retained span's ancestors (which end
 // later) are retained too, so the exported tree stays well-formed and
 // the root survives any flood of leaf spans. When an obs sink is
-// attached, completed spans are also mirrored as "span" events onto the
-// run's event stream. Exporters render the recorded tree as
-// Chrome/Perfetto trace-event JSON (see perfetto.go).
+// attached, every completed span, ended or logged, is also mirrored
+// onto it as a "span" event: span ends are the engine's only events, so
+// that sink is the run's event stream. Exporters render the recorded
+// tree as Chrome/Perfetto trace-event JSON (see perfetto.go).
 package trace
 
 import (
@@ -201,10 +202,10 @@ type Options struct {
 	// DropCounter, when non-nil, mirrors every dropped span into a
 	// metrics registry counter (conventionally "trace.dropped.spans").
 	DropCounter *obs.Counter
-	// Obs, when non-nil, receives each completed span as a "span" event
-	// (trace/span/parent/name/start/seconds + flattened attrs), putting
-	// spans on the same NDJSON stream as the run's other events.
-	Obs *obs.Observer
+	// Obs, when non-nil, receives each completed span, ended or logged,
+	// as a "span" event (trace/span/parent/track/name/start/seconds, and
+	// each attribute as attr_<key>): the run's event stream.
+	Obs obs.Sink
 	// Base offsets the span-ID counter: the first span gets ID Base+1.
 	// Cooperating processes that contribute spans to one stitched trace
 	// (client-side request spans adopted by powderd) pick disjoint bases
@@ -225,7 +226,7 @@ type Tracer struct {
 
 	dropped atomic.Int64
 	dropCtr *obs.Counter
-	obs     *obs.Observer
+	obs     obs.Sink
 }
 
 // New returns a tracer for one trace identified by id (powderd uses the
@@ -275,12 +276,12 @@ func (t *Tracer) Start(name string, parent SpanID) *Span {
 	return s
 }
 
-// record moves an ended span from the active set into the ring.
+// record files an ended span.
 func (t *Tracer) record(s *Span, track string, attrs map[string]any, end time.Time) {
 	if t == nil {
 		return
 	}
-	rec := Record{
+	t.add(Record{
 		Trace:  t.id,
 		ID:     s.id,
 		Parent: s.parent,
@@ -288,36 +289,51 @@ func (t *Tracer) record(s *Span, track string, attrs map[string]any, end time.Ti
 		Track:  track,
 		Start:  s.start,
 		End:    end,
-	}
-	if len(attrs) > 0 {
-		rec.Attrs = make(map[string]any, len(attrs))
-		for k, v := range attrs {
-			rec.Attrs[k] = v
-		}
-	}
+		Attrs:  copyAttrs(attrs),
+	})
+}
+
+// add is the one path of a completed span, ended or logged: it leaves
+// the active set (a logged span was never in it), enters the ring, and
+// is mirrored onto the sink.
+func (t *Tracer) add(rec Record) {
 	t.mu.Lock()
-	delete(t.active, s.id)
+	delete(t.active, rec.ID)
 	t.pushLocked(rec)
 	t.mu.Unlock()
-	if t.obs.Tracing() {
-		f := obs.Fields{
-			"trace":   rec.Trace,
-			"span":    int64(rec.ID),
-			"name":    rec.Name,
-			"start":   rec.Start.Format(time.RFC3339Nano),
-			"seconds": rec.Seconds(),
-		}
-		if rec.Parent != 0 {
-			f["parent"] = int64(rec.Parent)
-		}
-		if rec.Track != "" {
-			f["track"] = rec.Track
-		}
-		for k, v := range rec.Attrs {
-			f["attr_"+k] = v
-		}
-		t.obs.Emit("span", f)
+	if t.obs == nil {
+		return
 	}
+	f := obs.Fields{
+		"trace":   rec.Trace,
+		"span":    int64(rec.ID),
+		"name":    rec.Name,
+		"start":   rec.Start.Format(time.RFC3339Nano),
+		"seconds": rec.Seconds(),
+	}
+	if rec.Parent != 0 {
+		f["parent"] = int64(rec.Parent)
+	}
+	if rec.Track != "" {
+		f["track"] = rec.Track
+	}
+	for k, v := range rec.Attrs {
+		f["attr_"+k] = v
+	}
+	t.obs.Emit(obs.Event{Time: rec.End, Name: "span", Fields: f})
+}
+
+// copyAttrs returns a copy of attrs (nil when empty): a record must not
+// share the live span's map.
+func copyAttrs(attrs map[string]any) map[string]any {
+	if len(attrs) == 0 {
+		return nil
+	}
+	out := make(map[string]any, len(attrs))
+	for k, v := range attrs {
+		out[k] = v
+	}
+	return out
 }
 
 // pushLocked inserts one completed record into the bounded ring; the
@@ -353,16 +369,9 @@ func (t *Tracer) Log(name, track string, parent SpanID, start, end time.Time, at
 		Track:  track,
 		Start:  start,
 		End:    end,
+		Attrs:  copyAttrs(attrs),
 	}
-	if len(attrs) > 0 {
-		rec.Attrs = make(map[string]any, len(attrs))
-		for k, v := range attrs {
-			rec.Attrs[k] = v
-		}
-	}
-	t.mu.Lock()
-	t.pushLocked(rec)
-	t.mu.Unlock()
+	t.add(rec)
 	return rec.ID
 }
 
@@ -371,7 +380,10 @@ func (t *Tracer) Log(name, track string, parent SpanID, start, end time.Time, at
 // The record keeps its own ID — cooperating tracers use disjoint
 // Options.Base ranges so adopted IDs cannot collide with local ones —
 // but its Trace is rewritten to this tracer's, making the merged
-// snapshot one stitched forest. Records with ID 0 are rejected.
+// snapshot one stitched forest. Records with ID 0 are rejected. Unlike
+// ended and logged spans, adopted ones are not mirrored onto the sink:
+// a client uploads its spans after the job has finished, when the job's
+// event stream has already closed.
 func (t *Tracer) Adopt(rec Record) error {
 	if t == nil {
 		return nil
@@ -419,12 +431,7 @@ func (t *Tracer) ActiveStack() []Record {
 			Name:   s.name,
 			Track:  s.track,
 			Start:  s.start,
-		}
-		if len(s.attrs) > 0 {
-			rec.Attrs = make(map[string]any, len(s.attrs))
-			for k, v := range s.attrs {
-				rec.Attrs[k] = v
-			}
+			Attrs:  copyAttrs(s.attrs),
 		}
 		s.mu.Unlock()
 		out = append(out, rec)

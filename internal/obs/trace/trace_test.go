@@ -174,20 +174,31 @@ func TestActiveStack(t *testing.T) {
 	}
 }
 
+// TestSpansMirrorToObserver checks that ended and logged spans reach the
+// tracer's sink as "span" events, and adopted ones do not.
 func TestSpansMirrorToObserver(t *testing.T) {
 	hub := obs.NewHub(0)
-	tr := New("mirror", Options{Obs: obs.New(hub, nil)})
+	tr := New("mirror", Options{Obs: hub})
 	s := tr.Start("work", 0)
 	s.SetAttr("n", 7)
 	s.End()
+	now := time.Now()
+	tr.Log("wait", "worker-1", s.ID(), now, now.Add(time.Millisecond), map[string]any{"region": 1})
+	if err := tr.Adopt(Record{ID: 1 << 40, Name: "client"}); err != nil {
+		t.Fatal(err)
+	}
 	hub.Close()
 	evs := hub.Events()
-	if len(evs) != 1 || evs[0].Name != "span" {
-		t.Fatalf("hub events = %v, want one span event", evs)
+	if len(evs) != 2 || evs[0].Name != "span" || evs[1].Name != "span" {
+		t.Fatalf("hub events = %v, want two span events", evs)
 	}
 	f := evs[0].Fields
 	if f["trace"] != "mirror" || f["name"] != "work" || f["attr_n"] != 7 {
 		t.Fatalf("span event fields = %v", f)
+	}
+	f = evs[1].Fields
+	if f["name"] != "wait" || f["track"] != "worker-1" || f["parent"] != int64(s.ID()) || f["attr_region"] != 1 {
+		t.Fatalf("logged span event fields = %v", f)
 	}
 }
 

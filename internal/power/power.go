@@ -36,8 +36,8 @@ type Model struct {
 	// internal stems keep the propagated model. nil when nothing is
 	// pinned.
 	pinned []float64
-	// o records estimate/refresh/resync metrics; nil disables.
-	o *obs.Observer
+	// metrics records refresh/resync metrics; nil disables.
+	metrics *obs.Registry
 }
 
 // New builds a power model over a simulator that has already been run.
@@ -46,10 +46,6 @@ func New(nl *netlist.Netlist, s *sim.Simulator) *Model {
 	m.Reestimate()
 	return m
 }
-
-// SetObserver attaches an observer recording model update metrics
-// ("power.refreshes", "power.resyncs", "power.resync.seconds").
-func (m *Model) SetObserver(o *obs.Observer) { m.o = o }
 
 // Sim returns the underlying simulator.
 func (m *Model) Sim() *sim.Simulator { return m.s }
@@ -156,7 +152,7 @@ func (m *Model) PerNode(buf []float64) []float64 {
 // local netlist edit; for structural changes that added nodes, call
 // Resync instead.
 func (m *Model) Refresh(roots ...netlist.NodeID) {
-	m.o.Counter("power.refreshes").Inc()
+	m.metrics.Counter("power.refreshes").Inc()
 	m.s.ResimFrom(roots...)
 	seen := make(map[netlist.NodeID]bool)
 	var walk func(id netlist.NodeID)
@@ -183,8 +179,8 @@ func (m *Model) Resync() {
 	start := time.Now()
 	m.s.Resync()
 	m.Reestimate()
-	m.o.Counter("power.resyncs").Inc()
-	m.o.Histogram("power.resync.seconds").ObserveSince(start)
+	m.metrics.Counter("power.resyncs").Inc()
+	m.metrics.Histogram("power.resync.seconds").ObserveSince(start)
 }
 
 // Scale converts a sum C*E value into the full Eq. 1 power for the given
@@ -228,9 +224,9 @@ type Options struct {
 	// InputProbs is nil), exhaustive vectors are used and the estimate is
 	// exact. Default 14.
 	ExhaustiveLimit int
-	// Obs, when non-nil, is attached to the model: Estimate records
+	// Metrics, when non-nil, is attached to the model: Estimate records
 	// "power.estimate.seconds" and the model counts refreshes/resyncs.
-	Obs *obs.Observer
+	Metrics *obs.Registry
 }
 
 func (o *Options) fill() {
@@ -273,8 +269,8 @@ func Estimate(nl *netlist.Netlist, opts Options) *Model {
 	if opts.InputToggles != nil {
 		m.PinInputs(opts.InputToggles)
 	}
-	m.SetObserver(opts.Obs)
-	opts.Obs.Counter("power.estimates").Inc()
-	opts.Obs.Histogram("power.estimate.seconds").ObserveSince(start)
+	m.metrics = opts.Metrics
+	opts.Metrics.Counter("power.estimates").Inc()
+	opts.Metrics.Histogram("power.estimate.seconds").ObserveSince(start)
 	return m
 }

@@ -18,7 +18,8 @@ type Options struct {
 	Core core.Options
 	// Fixpoint configures the steady-state probability iteration.
 	// Fixpoint.InputProbs carries the per-primary-input probabilities
-	// (e.g. from a -probs file); Fixpoint.Obs defaults to Core.Obs.
+	// (e.g. from a -probs file); Fixpoint.Metrics defaults to
+	// Core.Metrics.
 	Fixpoint FixpointOptions
 	// Activity, when non-nil, folds a measured workload activity binding
 	// into the run: matched true-input probabilities seed the fixpoint,
@@ -101,8 +102,8 @@ func Optimize(c *Circuit, opts Options) (*Result, error) {
 // reasoning needed. The caller's Circuit still holds the cut afterwards;
 // write it with blif.WriteModel to stitch the latches back.
 func OptimizeCtx(ctx context.Context, c *Circuit, opts Options) (*Result, error) {
-	if opts.Fixpoint.Obs == nil {
-		opts.Fixpoint.Obs = opts.Core.Obs
+	if opts.Fixpoint.Metrics == nil {
+		opts.Fixpoint.Metrics = opts.Core.Metrics
 	}
 	var override func([]float64) []float64
 	if opts.Activity != nil {

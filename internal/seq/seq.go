@@ -72,8 +72,8 @@ type FixpointOptions struct {
 	// InputProbs optionally gives the signal probability of each true
 	// primary input, in Core().Inputs()[:NumInputs] order (nil = all 0.5).
 	InputProbs []float64
-	// Obs receives fixpoint events and metrics (nil-safe).
-	Obs *obs.Observer
+	// Metrics receives the fixpoint metrics (nil-safe).
+	Metrics *obs.Registry
 }
 
 func (o *FixpointOptions) normalize(c *Circuit) error {
@@ -143,11 +143,10 @@ func SteadyState(c *Circuit, opts FixpointOptions) (*FixpointResult, error) {
 // don't-care/unknown→0.5). Divergence (iteration cap) returns the last
 // iterate wrapped in ErrDiverged so callers can still inspect it.
 //
-// The iteration is observable: a "fixpoint" span (with per-iteration
-// child spans) nests under any tracer on ctx, and when the observer's
-// event stream is on, every Picard step emits a "seq.fixpoint.iter"
-// event with its residual — the convergence trajectory, not just the
-// converged point.
+// The iteration is observable: a "fixpoint" span nests under any tracer
+// on ctx, with one "fixpoint-iter" child span per Picard step carrying
+// its residual — the convergence trajectory, not just the converged
+// point.
 func SteadyStateCtx(ctx context.Context, c *Circuit, opts FixpointOptions) (*FixpointResult, error) {
 	if err := opts.normalize(c); err != nil {
 		return nil, err
@@ -185,6 +184,8 @@ func SteadyStateCtx(ctx context.Context, c *Circuit, opts FixpointOptions) (*Fix
 	fpSpan.SetAttr("circuit", m.Netlist.Name)
 	fpSpan.SetAttr("latches", len(m.Latches))
 	fpSpan.SetAttr("damping", opts.Damping)
+	fpSpan.SetAttr("max_iter", opts.MaxIter)
+	fpSpan.SetAttr("tol", opts.Tol)
 	endFixpoint := func(outcome string) {
 		fpSpan.SetAttr("outcome", outcome)
 		fpSpan.SetAttr("iterations", res.Iterations)
@@ -212,36 +213,15 @@ func SteadyStateCtx(ctx context.Context, c *Circuit, opts FixpointOptions) (*Fix
 		iterSpan.SetAttr("iteration", iter)
 		iterSpan.SetAttr("residual", residual)
 		iterSpan.End()
-		if opts.Obs.Tracing() {
-			opts.Obs.Emit("seq.fixpoint.iter", obs.Fields{
-				"circuit":   m.Netlist.Name,
-				"iteration": iter,
-				"residual":  residual,
-				"damping":   opts.Damping,
-			})
-		}
 		if residual <= opts.Tol {
-			opts.Obs.Counter("seq.fixpoint.converged").Inc()
-			opts.Obs.Histogram("seq.fixpoint.iterations").Observe(float64(iter))
-			opts.Obs.Emit("seq.fixpoint", obs.Fields{
-				"circuit":    m.Netlist.Name,
-				"latches":    len(m.Latches),
-				"iterations": iter,
-				"residual":   residual,
-			})
+			opts.Metrics.Counter("seq.fixpoint.converged").Inc()
+			opts.Metrics.Histogram("seq.fixpoint.iterations").Observe(float64(iter))
 			endFixpoint("converged")
 			return res, nil
 		}
 	}
 	endFixpoint("diverged")
-	opts.Obs.Counter("seq.fixpoint.diverged").Inc()
-	opts.Obs.Emit("seq.fixpoint.diverged", obs.Fields{
-		"circuit":  m.Netlist.Name,
-		"latches":  len(m.Latches),
-		"max_iter": opts.MaxIter,
-		"residual": res.Residual,
-		"tol":      opts.Tol,
-	})
+	opts.Metrics.Counter("seq.fixpoint.diverged").Inc()
 	return res, fmt.Errorf("%w: residual %.3g after %d iterations (tol %.3g); try damping or a larger cap",
 		ErrDiverged, res.Residual, opts.MaxIter, opts.Tol)
 }

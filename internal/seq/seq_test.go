@@ -103,20 +103,19 @@ func TestSteadyStateBiasedInput(t *testing.T) {
 func TestSteadyStateDivergenceIsExplicit(t *testing.T) {
 	c := mustCircuit(t, crossCoupled)
 	reg := obs.NewRegistry()
-	o := obs.New(nil, reg)
-	_, err := SteadyState(c, FixpointOptions{Damping: -1, MaxIter: 25, Obs: o})
+	_, err := SteadyState(c, FixpointOptions{Damping: -1, MaxIter: 25, Metrics: reg})
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("undamped cross-coupled pair should diverge, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "25 iterations") {
 		t.Errorf("divergence error should name the cap: %v", err)
 	}
-	if got := o.Counter("seq.fixpoint.diverged").Value(); got != 1 {
+	if got := reg.Counter("seq.fixpoint.diverged").Value(); got != 1 {
 		t.Errorf("diverged counter = %d, want 1", got)
 	}
 
 	// The same circuit under default damping converges to 0.5/0.5.
-	res, err := SteadyState(c, FixpointOptions{Obs: o})
+	res, err := SteadyState(c, FixpointOptions{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +124,7 @@ func TestSteadyStateDivergenceIsExplicit(t *testing.T) {
 			t.Errorf("damped state %d = %g, want 0.5", i, p)
 		}
 	}
-	if got := o.Counter("seq.fixpoint.converged").Value(); got != 1 {
+	if got := reg.Counter("seq.fixpoint.converged").Value(); got != 1 {
 		t.Errorf("converged counter = %d, want 1", got)
 	}
 }

@@ -56,7 +56,7 @@ func (s *Service) cacheKey(sub *submission, opts JobOptions) string {
 // ledger, and never touches the worker pool.
 func (s *Service) jobFromCache(e *store.CacheEntry, opts JobOptions, key string) *Job {
 	now := time.Now()
-	hub := obs.NewHub(s.cfg.EventBuffer)
+	hub := obs.NewHub(0)
 	hub.SetDropCounter(s.reg.Counter("obs.dropped.events"))
 	j := &Job{
 		id:          fmt.Sprintf("j%06d", s.seq.Add(1)),

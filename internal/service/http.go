@@ -43,7 +43,9 @@ import (
 //	GET    /v1/jobs                all job statuses in submission order
 //	GET    /v1/jobs/{id}           one job's status
 //	GET    /v1/jobs/{id}/result.blif  the optimized netlist
-//	GET    /v1/jobs/{id}/events    the job's event stream as NDJSON
+//	GET    /v1/jobs/{id}/events    the job's event stream as NDJSON: its
+//	                               job-* lifecycle events and, for a
+//	                               traced job, its span ends
 //	GET    /v1/jobs/{id}/ledger    the run ledger (substitution provenance
 //	                               + per-node power attribution) of a
 //	                               finished job; 409 while running

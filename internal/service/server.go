@@ -38,8 +38,6 @@ type Config struct {
 	// DefaultTimeout is the per-job wall-clock budget applied when a
 	// submission does not set one (0: unlimited).
 	DefaultTimeout time.Duration
-	// EventBuffer is each job's event replay-buffer size (<= 0: 4096).
-	EventBuffer int
 	// Registry receives the service and per-phase engine metrics
 	// (nil: a fresh registry, exposed at /metrics).
 	Registry *obs.Registry
@@ -195,10 +193,11 @@ func (s *Service) parseSubmission(body []byte, opts JobOptions) (*submission, er
 // from a parsed submission; the caller registers and enqueues it.
 func (s *Service) newJob(id string, sub *submission, opts JobOptions, cacheKey string) *Job {
 	ctx, cancel := context.WithCancel(s.rootCtx)
-	hub := obs.NewHub(s.cfg.EventBuffer)
-	// Slow event consumers must never stall a worker: the hub drops
-	// instead, and the drops surface at /metrics. Every event also
-	// mirrors into the process flight recorder for postmortems.
+	// The hub carries the job's lifecycle events and, for a traced job,
+	// its span ends. Slow event consumers must never stall a worker: the
+	// hub drops instead, and the drops surface at /metrics. Every event
+	// also mirrors into the process flight recorder for postmortems.
+	hub := obs.NewHub(0)
 	hub.SetDropCounter(s.reg.Counter("obs.dropped.events"))
 	hub.SetMirror(obs.Flight())
 	j := &Job{
@@ -222,7 +221,8 @@ func (s *Service) newJob(id string, sub *submission, opts JobOptions, cacheKey s
 	}
 	if forced := opts.TraceID != ""; forced || s.sampler.Sample() {
 		// The tracer mirrors completed spans onto the job's event stream
-		// and bounds its recorder; drops surface at /metrics. A client
+		// and bounds its recorder; drops surface at /metrics. An untraced
+		// job's stream holds only its job-* lifecycle events. A client
 		// that sent X-Powder-Trace forces tracing under its own trace ID
 		// so the stitched forest reads client → queue → run → engine.
 		traceID := j.id
@@ -232,7 +232,7 @@ func (s *Service) newJob(id string, sub *submission, opts JobOptions, cacheKey s
 		j.tracer = trace.New(traceID, trace.Options{
 			Limit:       s.cfg.TraceLimit,
 			DropCounter: s.reg.Counter("trace.dropped.spans"),
-			Obs:         obs.New(hub, nil),
+			Obs:         hub,
 		})
 		tctx := trace.NewContext(ctx, j.tracer)
 		// The job root parents under the client's in-flight span (0, the
@@ -476,7 +476,7 @@ func (s *Service) optimize(ctx context.Context, j *Job) (*core.Result, error) {
 		Power:            power.Options{Words: s.cfg.PowerWords, Seed: s.cfg.PowerSeed},
 		Transform:        transform.Config{AllowInverted: true},
 		Activity:         j.activityLabel,
-		Obs:              obs.New(j.hub, s.reg),
+		Metrics:          s.reg,
 		Progress:         j.setProgress,
 	}
 	if j.opts.DelayLimitPct >= 0 {

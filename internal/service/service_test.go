@@ -146,27 +146,18 @@ func TestServiceEndToEndConcurrentVerified(t *testing.T) {
 		}
 	}
 
-	// The event stream of a finished job replays the full lifecycle.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + ids[0] + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("events content-type %q", ct)
-	}
+	// The event stream of a finished untraced job replays its lifecycle,
+	// and nothing else: the engine's events are span ends, which only a
+	// traced job streams.
 	seen := map[string]bool{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	for sc.Scan() {
-		var rec map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
+	for _, rec := range jobEvents(t, ts.URL, ids[0]) {
 		name, _ := rec["event"].(string)
 		seen[name] = true
+		if !strings.HasPrefix(name, "job-") {
+			t.Errorf("untraced job streamed a %q event: %v", name, rec)
+		}
 	}
-	for _, want := range []string{"job-queued", "job-started", "optimize-done", "job-finished"} {
+	for _, want := range []string{"job-queued", "job-started", "job-finished"} {
 		if !seen[want] {
 			t.Fatalf("event stream missing %q (saw %v)", want, seen)
 		}
@@ -180,6 +171,30 @@ func TestServiceEndToEndConcurrentVerified(t *testing.T) {
 	if got := metricValue(t, metrics, "service.jobs.completed"); got != n {
 		t.Fatalf("service.jobs.completed = %d, want %d", got, n)
 	}
+}
+
+// jobEvents reads a finished job's NDJSON event stream.
+func jobEvents(t *testing.T, base, id string) []map[string]any {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("events content-type %q", ct)
+	}
+	var recs []map[string]any
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	for sc.Scan() {
+		var rec map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
 }
 
 // getMetrics fetches the JSON metrics snapshot (/metrics?format=json).

@@ -71,6 +71,21 @@ func TestServiceTracedJobEndToEnd(t *testing.T) {
 		}
 	}
 
+	// The job's event stream carries its lifecycle and its span ends.
+	streamed := map[string]bool{}
+	for _, rec := range jobEvents(t, ts.URL, st.ID) {
+		name, _ := rec["event"].(string)
+		if name == "span" {
+			name, _ = rec["name"].(string)
+		}
+		streamed[name] = true
+	}
+	for _, want := range []string{"job-queued", "job-started", "job-finished", "optimize", "candidate"} {
+		if !streamed[want] {
+			t.Errorf("traced job's event stream has no %q (have %v)", want, streamed)
+		}
+	}
+
 	// The same tree exports as Perfetto trace-event JSON.
 	presp := fetchTrace(t, ts.URL, st.ID, "?format=perfetto")
 	defer presp.Body.Close()

@@ -54,11 +54,11 @@ func NewWithInputDrive(nl *netlist.Netlist, constraint, inputDrive float64) *Ana
 // "sta.rebuilds" and records "sta.rebuild.seconds". Timing rebuilds
 // after each applied substitution are a known hot spot; the metrics make
 // their cost visible per run.
-func NewObserved(nl *netlist.Netlist, constraint float64, o *obs.Observer) *Analysis {
+func NewObserved(nl *netlist.Netlist, constraint float64, metrics *obs.Registry) *Analysis {
 	start := time.Now()
 	a := New(nl, constraint)
-	o.Counter("sta.rebuilds").Inc()
-	o.Histogram("sta.rebuild.seconds").ObserveSince(start)
+	metrics.Counter("sta.rebuilds").Inc()
+	metrics.Histogram("sta.rebuild.seconds").ObserveSince(start)
 	return a
 }
 

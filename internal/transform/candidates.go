@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"powder/internal/logic"
 	"powder/internal/netlist"
 	"powder/internal/obs"
+	"powder/internal/obs/trace"
 	"powder/internal/power"
 )
 
@@ -32,9 +34,9 @@ type Config struct {
 	// each region worker the filter of its region; disjoint filters
 	// partition the full candidate set.
 	TargetFilter func(netlist.NodeID) bool
-	// Obs, when non-nil, receives one "harvest" event per Generate call
-	// (candidate counts by class) and harvest metrics.
-	Obs *obs.Observer
+	// Metrics, when non-nil, receives the harvest metrics: harvests,
+	// candidates by class, harvest seconds.
+	Metrics *obs.Registry
 }
 
 // Normalize fills defaults.
@@ -55,6 +57,15 @@ func (c *Config) Normalize() {
 // being applied; this is the get_candidate_substitutions step of the
 // paper's Figure 5.
 func Generate(nl *netlist.Netlist, pm *power.Model, cfg Config) []*Substitution {
+	return GenerateCtx(context.Background(), nl, pm, cfg)
+}
+
+// GenerateCtx is Generate under a "harvest" span of ctx, which carries
+// the candidate counts: candidates, the source pool, and one count per
+// class (os2, is2, os3, is3).
+func GenerateCtx(ctx context.Context, nl *netlist.Netlist, pm *power.Model, cfg Config) []*Substitution {
+	_, sp := trace.StartSpan(ctx, "harvest")
+	defer sp.End()
 	cfg.Normalize()
 	start := time.Now()
 	sm := pm.Sim()
@@ -124,38 +135,34 @@ func Generate(nl *netlist.Netlist, pm *power.Model, cfg Config) []*Substitution 
 			}
 		}
 	}
-	harvestObs(cfg.Obs, g.out, len(g.pool), start)
+	harvested(sp, cfg.Metrics, g.out, len(g.pool), start)
 	return g.out
 }
 
-// harvestObs reports one Generate call to the observer.
-func harvestObs(o *obs.Observer, cands []*Substitution, pool int, start time.Time) {
-	if o == nil {
-		return
-	}
-	byKind := map[Kind]int{}
+// harvested records one Generate call: the candidate counts on the
+// harvest span and in the metrics registry.
+func harvested(sp *trace.Span, m *obs.Registry, cands []*Substitution, pool int, start time.Time) {
+	var byKind [IS3 + 1]int
 	for _, s := range cands {
 		byKind[s.Kind]++
 	}
-	if m := o.Metrics(); m != nil {
-		m.Counter("transform.harvests").Inc()
-		m.Counter("transform.candidates").Add(int64(len(cands)))
-		for k, n := range byKind {
-			m.Counter("transform.candidates." + k.String()).Add(int64(n))
+	sp.SetAttr("candidates", len(cands))
+	sp.SetAttr("pool", pool)
+	sp.SetAttr("os2", byKind[OS2])
+	sp.SetAttr("is2", byKind[IS2])
+	sp.SetAttr("os3", byKind[OS3])
+	sp.SetAttr("is3", byKind[IS3])
+	if m == nil {
+		return
+	}
+	m.Counter("transform.harvests").Inc()
+	m.Counter("transform.candidates").Add(int64(len(cands)))
+	for k, n := range byKind {
+		if n > 0 {
+			m.Counter("transform.candidates." + Kind(k).String()).Add(int64(n))
 		}
-		m.Histogram("transform.harvest.seconds").ObserveSince(start)
 	}
-	if o.Tracing() {
-		o.Emit("harvest", obs.Fields{
-			"candidates": len(cands),
-			"pool":       pool,
-			"os2":        byKind[OS2],
-			"is2":        byKind[IS2],
-			"os3":        byKind[OS3],
-			"is3":        byKind[IS3],
-			"seconds":    time.Since(start).Seconds(),
-		})
-	}
+	m.Histogram("transform.harvest.seconds").ObserveSince(start)
 }
 
 type targetCtx struct {
