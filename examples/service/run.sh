@@ -1,6 +1,6 @@
 #!/bin/sh
 # Demonstrates the powderd HTTP service end to end: start a daemon,
-# submit two circuits concurrently, stream the progress events of one,
+# submit two circuits concurrently, stream the lifecycle events of one,
 # fetch both optimized netlists, and drain the server cleanly.
 #
 # Usage: ./examples/service/run.sh   (from the repository root)
