@@ -37,6 +37,8 @@ type Cell struct {
 	// TT is the function's truth table over len(Pins) variables; it is the
 	// functional fingerprint used by matching.
 	TT logic.TT
+	// Program is Function compiled for word-parallel simulation.
+	Program *logic.Program
 	// Intrinsic is tau in the delay model D = tau + C*R, in time units.
 	Intrinsic float64
 	// Drive is R in the delay model, in time units per capacitance unit.
@@ -87,6 +89,7 @@ func NewCell(name string, area float64, pins []Pin, output string, fn *logic.Exp
 		Output:    output,
 		Function:  fn,
 		TT:        tt,
+		Program:   logic.Compile(fn, len(pins)),
 		Intrinsic: intrinsic,
 		Drive:     drive,
 		MaxLoad:   maxLoad,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -45,6 +46,58 @@ func TestPartialSelectByGainAB(t *testing.T) {
 		for i := range got {
 			if got[i] != wantAsc[i] {
 				t.Fatalf("n=%d k=%d: elements lost: got %v want %v", n, k, got, wantAsc)
+			}
+		}
+	}
+}
+
+// selectionSortGainAB is the preselection partialSelectByGainAB
+// replaced: k steps of selection sort by GainAB. It is the reference
+// for the whole permuted slice.
+func selectionSortGainAB(cands []*transform.Substitution, k int) {
+	for i := 0; i < k; i++ {
+		maxJ := i
+		for j := i + 1; j < len(cands); j++ {
+			if cands[j].GainAB > cands[maxJ].GainAB {
+				maxJ = j
+			}
+		}
+		cands[i], cands[maxJ] = cands[maxJ], cands[i]
+	}
+}
+
+// TestPartialSelectMatchesSelectionSort checks that the whole slice, not
+// only its first k entries, ends in the order k steps of selection sort
+// leave it in: later picks break gain ties by position. The lists hold
+// many equal finite gains, and for every k from 0 to the list length;
+// some also hold infinities and NaNs.
+func TestPartialSelectMatchesSelectionSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60)
+		levels := 1 + rng.Intn(6)
+		gains := make([]float64, n)
+		for i := range gains {
+			gains[i] = float64(rng.Intn(levels)-levels/2) / 8
+			if trial%3 == 0 && rng.Intn(8) == 0 {
+				gains[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		for k := 0; k <= n; k++ {
+			got := make([]*transform.Substitution, n)
+			want := make([]*transform.Substitution, n)
+			for i, g := range gains {
+				got[i] = &transform.Substitution{GainAB: g}
+				want[i] = got[i]
+			}
+			partialSelectByGainAB(got, k)
+			selectionSortGainAB(want, k)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d n=%d k=%d: position %d holds a candidate of gain %v, selection sort puts one of gain %v there",
+						trial, n, k, i, got[i].GainAB, want[i].GainAB)
+				}
 			}
 		}
 	}

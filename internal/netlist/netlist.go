@@ -106,6 +106,11 @@ type Netlist struct {
 	version int64
 	txn     *Txn // active edit transaction, nil outside Begin/Commit
 
+	// topoOrder and topoPos cache Topo for structure version topoVersion.
+	topoOrder   []NodeID
+	topoPos     []int
+	topoVersion int64
+
 	// Scratch state for allocation-free reachability queries.
 	visitMark  []int64
 	visitEpoch int64

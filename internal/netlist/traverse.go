@@ -31,13 +31,50 @@ func (nl *Netlist) TopoOrder() []NodeID {
 	return order
 }
 
+// Topo returns TopoOrder and each node's position in it (-1 for dead
+// nodes), indexed by NodeID. Both are cached until the next structural
+// mutation, so the netlist's simulators and its reachability queries
+// share one order per Version. The slices belong to the netlist and must
+// not be mutated; a later mutation makes Topo allocate new ones, so
+// slices returned earlier stay as they were. Like Reaches, Topo writes
+// netlist state and must not run concurrently with other calls.
+func (nl *Netlist) Topo() (order []NodeID, pos []int) {
+	if !nl.topoCurrent() {
+		order = nl.TopoOrder()
+		pos = make([]int, len(nl.nodes))
+		for i := range pos {
+			pos[i] = -1
+		}
+		for i, id := range order {
+			pos[id] = i
+		}
+		nl.topoOrder, nl.topoPos, nl.topoVersion = order, pos, nl.version
+	}
+	return nl.topoOrder, nl.topoPos
+}
+
+// topoCurrent reports whether the cached topological order is the
+// current structure's.
+func (nl *Netlist) topoCurrent() bool {
+	return nl.topoPos != nil && nl.topoVersion == nl.version
+}
+
 // Reaches reports whether there is a directed path from src to dst
-// (src == dst counts as reaching). It reuses an epoch-stamped visit array,
-// so repeated queries allocate nothing; the netlist is not safe for
-// concurrent use anyway.
+// (src == dst counts as reaching). While Topo's order is cached for the
+// current structure, a dst that precedes src in it answers false at
+// once, and the search skips every gate placed after dst. It reuses an
+// epoch-stamped visit array, so repeated queries allocate nothing; the
+// netlist is not safe for concurrent use anyway.
 func (nl *Netlist) Reaches(src, dst NodeID) bool {
 	if src == dst {
 		return true
+	}
+	var pos []int
+	if nl.topoCurrent() {
+		pos = nl.topoPos
+		if pos[dst] < pos[src] {
+			return false
+		}
 	}
 	nl.visitEpoch++
 	if len(nl.visitMark) < len(nl.nodes) {
@@ -58,7 +95,7 @@ func (nl *Netlist) Reaches(src, dst NodeID) bool {
 				nl.visitStack = stack
 				return true
 			}
-			if nl.visitMark[b.Gate] != nl.visitEpoch {
+			if nl.visitMark[b.Gate] != nl.visitEpoch && (pos == nil || pos[b.Gate] < pos[dst]) {
 				nl.visitMark[b.Gate] = nl.visitEpoch
 				stack = append(stack, b.Gate)
 			}

@@ -99,7 +99,16 @@ func waitTerminal(t *testing.T, base, id string) Status {
 }
 
 func TestServiceEndToEndConcurrentVerified(t *testing.T) {
-	_, ts := newTestService(t, Config{Workers: 4, QueueDepth: 16}, nil)
+	// Workers hold every job until all are submitted: a small job can
+	// otherwise finish before its own submit response is written. A
+	// failed test cancels the held jobs when the service closes.
+	release := make(chan struct{})
+	_, ts := newTestService(t, Config{Workers: 4, QueueDepth: 16}, func(ctx context.Context, j *Job) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+	})
 	names := []string{"fig2", "maj3"}
 	const n = 8
 	ids := make([]string, n)
@@ -113,6 +122,7 @@ func TestServiceEndToEndConcurrentVerified(t *testing.T) {
 		}
 		ids[i] = st.ID
 	}
+	close(release)
 	lib := cellib.Lib2()
 	for i, id := range ids {
 		st := waitTerminal(t, ts.URL, id)

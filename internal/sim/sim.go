@@ -23,9 +23,10 @@ type Simulator struct {
 	words int
 	// values[id] holds the simulated stem words of node id; nil for dead
 	// or never-simulated nodes.
-	values  [][]uint64
-	topoPos []int
+	values [][]uint64
+	// order and topoPos are the netlist's Topo of structure version.
 	order   []netlist.NodeID
+	topoPos []int
 	version int64
 	// nvec is the number of valid sample vectors; trailing bits beyond it
 	// are masked out of counts via ValidMask.
@@ -41,6 +42,17 @@ type Simulator struct {
 	poDiff    []uint64
 	altBuf    []uint64
 	pinBuf    []uint64
+	// regs are the scratch registers of the compiled cell programs.
+	regs [][]uint64
+
+	// The observability table of StemObs: obsSlab holds Words mask words
+	// per node, valid where obsStamp[id] == obsEpoch. The epoch advances
+	// when the values (obsGen) or the structure (obsVersion) change.
+	obsSlab    []uint64
+	obsStamp   []uint64
+	obsEpoch   uint64
+	obsGen     uint64
+	obsVersion int64
 
 	// ones caches Ones per node: ones[id] is valid while onesGen[id] ==
 	// gen, and gen advances whenever any value word may have changed.
@@ -84,6 +96,7 @@ func (s *Simulator) grow() {
 	s.ones = append(s.ones, make([]int, add)...)
 	s.onesGen = append(s.onesGen, make([]uint64, add)...)
 	s.tfoSeen = append(s.tfoSeen, make([]uint64, add)...)
+	s.obsStamp = append(s.obsStamp, make([]uint64, add)...)
 }
 
 // Words returns the number of 64-bit words per signal.
@@ -95,14 +108,10 @@ func (s *Simulator) NumVectors() int { return s.nvec }
 // Netlist returns the simulated netlist.
 func (s *Simulator) Netlist() *netlist.Netlist { return s.nl }
 
+// refreshTopo takes the netlist's cached topological order of its
+// current structure.
 func (s *Simulator) refreshTopo() {
-	s.order = s.nl.TopoOrder()
-	if s.topoPos == nil || len(s.topoPos) < s.nl.NumNodes() {
-		s.topoPos = make([]int, s.nl.NumNodes())
-	}
-	for i, id := range s.order {
-		s.topoPos[id] = i
-	}
+	s.order, s.topoPos = s.nl.Topo()
 	s.version = s.nl.Version()
 }
 
@@ -236,18 +245,14 @@ func (s *Simulator) Run() {
 	}
 }
 
-// evalGate evaluates the gate's cell function word-wise from the given
+// evalGate evaluates the gate's compiled cell function from the given
 // fanin word slices into out.
 func (s *Simulator) evalGate(n *netlist.Node, in [][]uint64, out []uint64) {
-	expr := n.Cell().Function
-	var buf [6]uint64
-	args := buf[:len(in)]
-	for w := 0; w < s.words; w++ {
-		for p := range in {
-			args[p] = in[p][w]
-		}
-		out[w] = expr.EvalWords(args)
+	p := n.Cell().Program
+	for len(s.regs) < p.Regs() {
+		s.regs = append(s.regs, make([]uint64, s.words))
 	}
+	p.Run(in, out, s.regs)
 }
 
 // Value returns the simulated stem words of node id. The slice is owned by

@@ -185,3 +185,82 @@ func (s *Simulator) BranchObservability(g netlist.NodeID, pin int) []uint64 {
 	s.propagate(g, s.altBuf)
 	return append([]uint64(nil), s.poDiff...)
 }
+
+// StemObs returns StemObservability(id) from the simulator's
+// observability table: each stem's mask is computed at most once per
+// state of the simulated values and the structure, into one slab the
+// simulator reuses. Inside a fanout-free region no propagation is
+// needed (critical-path tracing, Abramovici, Menon and Miller, DAC
+// 1983): a stem whose only fanout is pin p of gate g is observable
+// exactly where g is sensitive to p and g's stem is observable. Only
+// stems with several fanouts propagate. The slice belongs to the
+// simulator; it must not be mutated, and it is valid until the values
+// or the structure change.
+func (s *Simulator) StemObs(id netlist.NodeID) []uint64 {
+	if s.obsGen != s.gen || s.obsVersion != s.nl.Version() {
+		s.grow()
+		s.obsGen, s.obsVersion = s.gen, s.nl.Version()
+		s.obsEpoch++
+		s.obsSlab = growWords(s.obsSlab, len(s.values)*s.words)
+	}
+	return s.stemObs(id)
+}
+
+// BranchObs writes BranchObservability(g, pin) into out (Words long):
+// the branch is observable where g is sensitive to pin and g's stem is
+// observable.
+func (s *Simulator) BranchObs(g netlist.NodeID, pin int, out []uint64) {
+	obs := s.StemObs(g)
+	s.sensitized(g, pin, out)
+	for w := range out {
+		out[w] &= obs[w]
+	}
+}
+
+// stemObs is StemObs on a current table.
+func (s *Simulator) stemObs(id netlist.NodeID) []uint64 {
+	m := s.obsSlab[int(id)*s.words : (int(id)+1)*s.words]
+	if s.obsStamp[id] == s.obsEpoch {
+		return m
+	}
+	fo := s.nl.Node(id).Fanouts()
+	switch {
+	case s.nl.IsPODriver(id):
+		for w := range m {
+			m[w] = s.ValidMask(w)
+		}
+	case len(fo) == 0:
+		clear(m)
+	case len(fo) == 1:
+		s.sensitized(fo[0].Gate, fo[0].Pin, m)
+		obs := s.stemObs(fo[0].Gate)
+		for w := range m {
+			m[w] &= obs[w]
+		}
+	default:
+		base := s.Value(id)
+		s.altBuf = growWords(s.altBuf, s.words)
+		for w := range s.altBuf {
+			s.altBuf[w] = ^base[w]
+		}
+		s.propagate(id, s.altBuf)
+		copy(m, s.poDiff)
+	}
+	s.obsStamp[id] = s.obsEpoch
+	return m
+}
+
+// sensitized writes into out the vectors on which complementing pin pin
+// of gate g complements g's output.
+func (s *Simulator) sensitized(g netlist.NodeID, pin int, out []uint64) {
+	src := s.Value(s.nl.Node(g).Fanins()[pin])
+	s.pinBuf = growWords(s.pinBuf, s.words)
+	for w := range s.pinBuf {
+		s.pinBuf[w] = ^src[w]
+	}
+	s.GateValueWithPin(g, pin, s.pinBuf, out)
+	val := s.Value(g)
+	for w := range out {
+		out[w] ^= val[w]
+	}
+}

@@ -21,8 +21,8 @@ type Config struct {
 	// AllowInverted additionally proposes substitutions by inverted
 	// signals (realized by inverter reuse or insertion).
 	AllowInverted bool
-	// MaxThreeBase caps the per-class base-signal set of the 3-signal pair
-	// search (default 16).
+	// MaxThreeBase caps, per target, the base-signal set of each 2-input
+	// cell shape in the 3-signal pair search (default 16).
 	MaxThreeBase int
 	// MaxPerTarget caps how many candidates one substituted signal may
 	// contribute (default 48).
@@ -69,13 +69,16 @@ func GenerateCtx(ctx context.Context, nl *netlist.Netlist, pm *power.Model, cfg 
 	cfg.Normalize()
 	start := time.Now()
 	sm := pm.Sim()
-	g := &generator{nl: nl, pm: pm, cfg: cfg, words: sm.Words(), tfoMask: make([]bool, nl.NumNodes()),
-		cones: netlist.NewDeadCones(nl)}
-
+	g := &generator{nl: nl, pm: pm, cfg: cfg, tfoMask: make([]bool, nl.NumNodes()),
+		cones: netlist.NewDeadCones(nl), xorBase: make([][]netlist.NodeID, nl.NumNodes())}
 	// Candidate source pool: all live stems, in topological order for
 	// determinism.
-	for _, id := range nl.TopoOrder() {
-		g.pool = append(g.pool, id)
+	g.pool = nl.TopoOrder()
+	g.class = make([]uint8, len(g.pool))
+	for _, cell := range nl.Lib.TwoInputCells() {
+		if sh := shapeOf(cell.TT); sh != shapeNone {
+			g.cells = append(g.cells, shapedCell{cell, sh})
+		}
 	}
 
 	// Stem targets (OS2/OS3).
@@ -88,25 +91,21 @@ func GenerateCtx(ctx context.Context, nl *netlist.Netlist, pm *power.Model, cfg 
 			if cfg.TargetFilter != nil && !cfg.TargetFilter(a) {
 				continue
 			}
-			obs := sm.StemObservability(a)
-			touched := nl.MarkTFO(a, g.tfoMask)
-			g.tfoMask[a] = true
+			touched := g.markTFO(a)
 			g.cones.Stem(a)
 			g.target(&targetCtx{
 				a: a, g: netlist.InvalidNode, pin: -1,
-				obs: obs, tfo: g.tfoMask,
+				obs: sm.StemObs(a), tfo: g.tfoMask,
 				av: sm.Value(a),
 			})
-			g.tfoMask[a] = false
-			for _, id := range touched {
-				g.tfoMask[id] = false
-			}
+			g.clearTFO(a, touched)
 		}
 	}
 
 	// Branch targets (IS2/IS3): every gate input pin of a multi-fanout
 	// stem (single-fanout branches coincide with the stem substitution).
 	if !cfg.DisableIS2 || !cfg.DisableIS3 {
+		obs := make([]uint64, sm.Words())
 		for _, gid := range g.pool {
 			n := nl.Node(gid)
 			if n.Kind() != netlist.KindGate {
@@ -115,28 +114,46 @@ func GenerateCtx(ctx context.Context, nl *netlist.Netlist, pm *power.Model, cfg 
 			if cfg.TargetFilter != nil && !cfg.TargetFilter(gid) {
 				continue
 			}
+			var touched []netlist.NodeID
+			marked := false
 			for pin, drv := range n.Fanins() {
 				if nl.Node(drv).NumFanouts() < 2 {
 					continue
 				}
-				obs := sm.BranchObservability(gid, pin)
-				touched := nl.MarkTFO(gid, g.tfoMask)
-				g.tfoMask[gid] = true
+				if !marked {
+					touched, marked = g.markTFO(gid), true
+				}
+				sm.BranchObs(gid, pin, obs)
 				g.cones.Branch(drv, netlist.Branch{Gate: gid, Pin: pin})
 				g.target(&targetCtx{
 					a: drv, g: gid, pin: pin,
 					obs: obs, tfo: g.tfoMask,
 					av: sm.Value(drv),
 				})
-				g.tfoMask[gid] = false
-				for _, id := range touched {
-					g.tfoMask[id] = false
-				}
+			}
+			if marked {
+				g.clearTFO(gid, touched)
 			}
 		}
 	}
 	harvested(sp, cfg.Metrics, g.out, len(g.pool), start)
 	return g.out
+}
+
+// markTFO marks root and its transitive fanout in tfoMask, the sources
+// that would close a cycle, and returns the marked fanout for clearTFO.
+func (g *generator) markTFO(root netlist.NodeID) []netlist.NodeID {
+	touched := g.nl.MarkTFO(root, g.tfoMask)
+	g.tfoMask[root] = true
+	return touched
+}
+
+// clearTFO undoes markTFO.
+func (g *generator) clearTFO(root netlist.NodeID, touched []netlist.NodeID) {
+	g.tfoMask[root] = false
+	for _, id := range touched {
+		g.tfoMask[id] = false
+	}
 }
 
 // harvested records one Generate call: the candidate counts on the
@@ -172,22 +189,99 @@ type targetCtx struct {
 	obs []uint64
 	tfo []bool   // forbidden region for sources (cycles), indexed by NodeID
 	av  []uint64 // substituted signal's value words
+	// live lists the words with an observable sample: the only words
+	// the source tests need to read.
+	live []int
 }
 
 func (t *targetCtx) isBranch() bool { return t.g != netlist.InvalidNode }
+
+// root is the node whose transitive fanout (itself included) no source
+// may come from: the stem for stem targets, the gate for branch targets.
+func (t *targetCtx) root() netlist.NodeID {
+	if t.isBranch() {
+		return t.g
+	}
+	return t.a
+}
 
 type generator struct {
 	nl      *netlist.Netlist
 	pm      *power.Model
 	cfg     Config
 	pool    []netlist.NodeID
-	words   int
 	tfoMask []bool
 	// cones holds the dead cone of the current target: the gates that
 	// would die, which a reused inverter must not be among.
 	cones *netlist.DeadCones
 	out   []*Substitution
+	// cells are the library's 2-input cells, in TwoInputCells order, that
+	// have a shape the pair search handles.
+	cells []shapedCell
+	// class[i] holds pool[i]'s class bits against the current target.
+	class []uint8
+	// pairs[sh] holds the current target's passing source pairs of shape
+	// sh; done[sh] marks them computed.
+	pairs [numShapes][][2]netlist.NodeID
+	done  [numShapes]bool
+	// xorBase[root] memoizes the XOR-shape base set of a TFO root: it
+	// depends only on which sources the root forbids, so one stem
+	// target and every branch target into the same gate share it.
+	xorBase [][]netlist.NodeID
+	// base and live are scratch buffers of the current target.
+	base []netlist.NodeID
+	live []int
 }
+
+// shape is the function class of a 2-input cell that the pair search
+// handles; cells with the same truth table share a shape.
+type shape int
+
+const (
+	shapeAnd shape = iota
+	shapeOr
+	shapeNand
+	shapeNor
+	shapeXor
+	shapeXnor
+	numShapes
+	shapeNone = numShapes
+)
+
+// shapeOf returns the shape of a 2-input truth table; shapeNone for
+// shapes that are neither monotone nor XOR, such as a custom library's
+// ANDN, which the pair search skips.
+func shapeOf(tt logic.TT) shape {
+	for sh, want := range [numShapes]logic.TT{andTT, orTT, nandTT, norTT, xorTT, xnorTT} {
+		if tt.Equal(want) {
+			return shape(sh)
+		}
+	}
+	return shapeNone
+}
+
+type shapedCell struct {
+	cell  *cellib.Cell
+	shape shape
+}
+
+// The class bits record which base tests a source passes against a
+// target on the observable samples: bit sh is set when the source may be
+// one operand of a new gate of monotone shape sh.
+const (
+	// classAnd: val(b) covers the target, so b AND c can equal it.
+	classAnd uint8 = 1 << shapeAnd
+	// classOr: the target covers val(b).
+	classOr uint8 = 1 << shapeOr
+	// classNand: val(b) covers the target's complement.
+	classNand uint8 = 1 << shapeNand
+	// classNor: val(b) and the target are disjoint.
+	classNor uint8 = 1 << shapeNor
+	// classSource marks a source that may drive the target at all.
+	classSource uint8 = 1 << 7
+
+	classMonotone = classAnd | classOr | classNand | classNor
+)
 
 // sourceOK reports whether node b may drive the target without a cycle.
 func (g *generator) sourceOK(t *targetCtx, b netlist.NodeID) bool {
@@ -197,24 +291,44 @@ func (g *generator) sourceOK(t *targetCtx, b netlist.NodeID) bool {
 	return !t.tfo[b]
 }
 
-// matchesPlain reports whether val(b) equals the target value on every
-// observable sample.
-func (g *generator) matches(t *targetCtx, bv []uint64, inverted bool) bool {
-	for w := 0; w < g.words; w++ {
-		x := bv[w]
-		if inverted {
-			x = ^x
+// classify fills g.class for the current target in one pass over the
+// pool, stopping each source's word loop once all four tests failed.
+// A source equals the target on the observable samples iff it passes
+// classAnd and classOr, and equals its complement iff it passes
+// classNand and classNor.
+func (g *generator) classify(t *targetCtx) {
+	sm := g.pm.Sim()
+	for i, b := range g.pool {
+		if !g.sourceOK(t, b) {
+			g.class[i] = 0
+			continue
 		}
-		if (x^t.av[w])&t.obs[w] != 0 {
-			return false
+		bv := sm.Value(b)
+		c := classMonotone
+		for _, w := range t.live {
+			if c == 0 {
+				break
+			}
+			x, y, o := bv[w], t.av[w], t.obs[w]
+			if y&^x&o != 0 {
+				c &^= classAnd
+			}
+			if x&^y&o != 0 {
+				c &^= classOr
+			}
+			if ^y&^x&o != 0 {
+				c &^= classNand
+			}
+			if x&y&o != 0 {
+				c &^= classNor
+			}
 		}
+		g.class[i] = c | classSource
 	}
-	return true
 }
 
 // target harvests all candidates for one substituted signal.
 func (g *generator) target(t *targetCtx) {
-	sm := g.pm.Sim()
 	count := 0
 	add := func(s *Substitution) bool {
 		if count >= g.cfg.MaxPerTarget {
@@ -224,24 +338,35 @@ func (g *generator) target(t *targetCtx) {
 		count++
 		return true
 	}
+	two := (t.isBranch() && !g.cfg.DisableIS2) || (!t.isBranch() && !g.cfg.DisableOS2)
+	three := (t.isBranch() && !g.cfg.DisableIS3) || (!t.isBranch() && !g.cfg.DisableOS3)
+	g.live = g.live[:0]
+	for w, o := range t.obs {
+		if o != 0 {
+			g.live = append(g.live, w)
+		}
+	}
+	t.live = g.live
+	g.classify(t)
+	g.done = [numShapes]bool{}
 
 	// 2-signal candidates.
-	two := (t.isBranch() && !g.cfg.DisableIS2) || (!t.isBranch() && !g.cfg.DisableOS2)
 	if two {
-		for _, b := range g.pool {
-			if !g.sourceOK(t, b) {
+		eq, inv := classAnd|classOr, classNand|classNor
+		for i, b := range g.pool {
+			c := g.class[i]
+			if c == 0 {
 				continue
 			}
 			if t.isBranch() && b == t.a {
 				continue // no-op: same driver, same polarity
 			}
-			bv := sm.Value(b)
-			if g.matches(t, bv, false) {
+			if c&eq == eq {
 				if !add(g.makeTwo(t, b, false)) {
 					return
 				}
 			}
-			if g.cfg.AllowInverted && g.matches(t, bv, true) {
+			if g.cfg.AllowInverted && c&inv == inv {
 				if !add(g.makeTwo(t, b, true)) {
 					return
 				}
@@ -249,16 +374,112 @@ func (g *generator) target(t *targetCtx) {
 		}
 	}
 
-	// 3-signal candidates.
-	three := (t.isBranch() && !g.cfg.DisableIS3) || (!t.isBranch() && !g.cfg.DisableOS3)
+	// 3-signal candidates: cells of one shape share its passing pairs.
 	if !three {
 		return
 	}
-	for _, cell := range g.nl.Lib.TwoInputCells() {
-		if !g.threeForCell(t, cell, add) {
-			return
+	for _, sc := range g.cells {
+		for _, p := range g.pairsOf(t, sc.shape) {
+			if !add(g.makeThree(t, p[0], p[1], sc.cell)) {
+				return
+			}
 		}
 	}
+}
+
+// pairsOf returns the passing source pairs of shape sh for the current
+// target, computing them on first use. The pair search is quadratic in
+// a small base set instead of the whole pool: a monotone shape
+// constrains each operand by its class bit; an XOR shape determines the
+// partner on the observable samples, so its base is simply the quietest
+// sources.
+func (g *generator) pairsOf(t *targetCtx, sh shape) [][2]netlist.NodeID {
+	if g.done[sh] {
+		return g.pairs[sh]
+	}
+	sm := g.pm.Sim()
+	var base []netlist.NodeID
+	if sh == shapeXor || sh == shapeXnor {
+		base = g.xorBaseOf(t)
+	} else {
+		base = g.base[:0]
+		for i, b := range g.pool {
+			if g.class[i]&(1<<sh) != 0 {
+				base = append(base, b)
+			}
+		}
+		base = g.sortBase(base)
+		g.base = base
+	}
+	pairs := g.pairs[sh][:0]
+	for i := 0; i < len(base); i++ {
+		bv := sm.Value(base[i])
+		for j := i + 1; j < len(base); j++ {
+			if g.pairOK(t, sh, bv, sm.Value(base[j])) {
+				pairs = append(pairs, [2]netlist.NodeID{base[i], base[j]})
+			}
+		}
+	}
+	g.pairs[sh], g.done[sh] = pairs, true
+	return pairs
+}
+
+// sortBase orders a base set by transition probability, quiet signals
+// first (the PG_B penalty grows with E), and cuts it to MaxThreeBase.
+// sort.Slice's order among equal probabilities is part of the output,
+// so every base set is sorted from its pool-ordered filter.
+func (g *generator) sortBase(base []netlist.NodeID) []netlist.NodeID {
+	sort.Slice(base, func(i, j int) bool {
+		return g.pm.TransitionProb(base[i]) < g.pm.TransitionProb(base[j])
+	})
+	if len(base) > g.cfg.MaxThreeBase {
+		base = base[:g.cfg.MaxThreeBase]
+	}
+	return base
+}
+
+// xorBaseOf returns the XOR-shape base set of the target: the quietest
+// sources outside its root's transitive fanout.
+func (g *generator) xorBaseOf(t *targetCtx) []netlist.NodeID {
+	root := t.root()
+	if b := g.xorBase[root]; b != nil {
+		return b
+	}
+	all := g.base[:0]
+	for _, b := range g.pool {
+		if g.sourceOK(t, b) {
+			all = append(all, b)
+		}
+	}
+	g.base = all
+	quiet := g.sortBase(all)
+	base := make([]netlist.NodeID, len(quiet))
+	copy(base, quiet)
+	g.xorBase[root] = base
+	return base
+}
+
+// pairOK reports whether the new gate of shape sh on (b, c) equals the
+// target on every observable sample.
+func (g *generator) pairOK(t *targetCtx, sh shape, bv, cv []uint64) bool {
+	for _, w := range t.live {
+		var x uint64
+		switch sh {
+		case shapeAnd, shapeNand:
+			x = bv[w] & cv[w]
+		case shapeOr, shapeNor:
+			x = bv[w] | cv[w]
+		default:
+			x = bv[w] ^ cv[w]
+		}
+		if sh == shapeNand || sh == shapeNor || sh == shapeXnor {
+			x = ^x
+		}
+		if (x^t.av[w])&t.obs[w] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func (g *generator) makeTwo(t *targetCtx, b netlist.NodeID, inverted bool) *Substitution {
@@ -284,109 +505,6 @@ func (g *generator) makeTwo(t *targetCtx, b netlist.NodeID, inverted bool) *Subs
 	return s
 }
 
-// threeForCell harvests 3-signal candidates whose new gate is the given
-// 2-input cell. It returns false when the per-target cap was hit.
-func (g *generator) threeForCell(t *targetCtx, cell *cellib.Cell, add func(*Substitution) bool) bool {
-	sm := g.pm.Sim()
-	tt := cell.TT
-
-	// Classify the cell to derive the base-signal filter that makes the
-	// pair search quadratic in a small set instead of the whole pool:
-	// monotone-expressible cells (AND/OR/NAND/NOR shapes) constrain each
-	// operand by a cover/anti-cover condition; XOR-shaped cells determine
-	// the partner uniquely.
-	isXorLike := tt.Equal(xorTT) || tt.Equal(xnorTT)
-	if isXorLike {
-		return g.threeXor(t, cell, add)
-	}
-	var baseOK func(bv []uint64) bool
-	var pairOK func(bv, cv []uint64) bool
-	switch {
-	case tt.Equal(andTT):
-		baseOK = func(bv []uint64) bool { return g.covers(bv, t.av, t.obs) }
-		pairOK = func(bv, cv []uint64) bool { return g.combEq(t, bv, cv, opAnd, false) }
-	case tt.Equal(orTT):
-		baseOK = func(bv []uint64) bool { return g.covers(t.av, bv, t.obs) }
-		pairOK = func(bv, cv []uint64) bool { return g.combEq(t, bv, cv, opOr, false) }
-	case tt.Equal(nandTT):
-		baseOK = func(bv []uint64) bool { return g.coversInv(bv, t.av, t.obs) }
-		pairOK = func(bv, cv []uint64) bool { return g.combEq(t, bv, cv, opAnd, true) }
-	case tt.Equal(norTT):
-		baseOK = func(bv []uint64) bool { return g.disjoint(bv, t.av, t.obs) }
-		pairOK = func(bv, cv []uint64) bool { return g.combEq(t, bv, cv, opOr, true) }
-	default:
-		// Other 2-input cells (none in Lib2) are skipped.
-		return true
-	}
-
-	var base []netlist.NodeID
-	for _, b := range g.pool {
-		if !g.sourceOK(t, b) {
-			continue
-		}
-		if baseOK(sm.Value(b)) {
-			base = append(base, b)
-		}
-	}
-	// Prefer quiet signals: the PG_B penalty grows with E.
-	sort.Slice(base, func(i, j int) bool {
-		return g.pm.TransitionProb(base[i]) < g.pm.TransitionProb(base[j])
-	})
-	if len(base) > g.cfg.MaxThreeBase {
-		base = base[:g.cfg.MaxThreeBase]
-	}
-	for i := 0; i < len(base); i++ {
-		for j := i + 1; j < len(base); j++ {
-			if pairOK(sm.Value(base[i]), sm.Value(base[j])) {
-				if !add(g.makeThree(t, base[i], base[j], cell)) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// threeXor handles XOR/XNOR-shaped new gates: the partner signal is fully
-// determined on the observable samples, so scan the pool for it.
-func (g *generator) threeXor(t *targetCtx, cell *cellib.Cell, add func(*Substitution) bool) bool {
-	sm := g.pm.Sim()
-	xnor := cell.TT.Equal(xnorTT)
-
-	var base []netlist.NodeID
-	for _, b := range g.pool {
-		if g.sourceOK(t, b) {
-			base = append(base, b)
-		}
-	}
-	sort.Slice(base, func(i, j int) bool {
-		return g.pm.TransitionProb(base[i]) < g.pm.TransitionProb(base[j])
-	})
-	if len(base) > g.cfg.MaxThreeBase {
-		base = base[:g.cfg.MaxThreeBase]
-	}
-	for i := 0; i < len(base); i++ {
-		bv := sm.Value(base[i])
-		for j := i + 1; j < len(base); j++ {
-			cv := sm.Value(base[j])
-			ok := true
-			for w := 0; w < g.words && ok; w++ {
-				x := bv[w] ^ cv[w]
-				if xnor {
-					x = ^x
-				}
-				ok = (x^t.av[w])&t.obs[w] == 0
-			}
-			if ok {
-				if !add(g.makeThree(t, base[i], base[j], cell)) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 func (g *generator) makeThree(t *targetCtx, b, c netlist.NodeID, cell *cellib.Cell) *Substitution {
 	s := &Substitution{
 		A:       t.a,
@@ -401,62 +519,6 @@ func (g *generator) makeThree(t *targetCtx, b, c netlist.NodeID, cell *cellib.Ce
 		s.Kind = OS3
 	}
 	return s
-}
-
-type binOp int
-
-const (
-	opAnd binOp = iota
-	opOr
-)
-
-// covers reports whether x >= y (x covers y) on the observable samples.
-func (g *generator) covers(x, y, obs []uint64) bool {
-	for w := 0; w < g.words; w++ {
-		if y[w]&^x[w]&obs[w] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// coversInv reports whether x covers ~y on the observable samples.
-func (g *generator) coversInv(x, y, obs []uint64) bool {
-	for w := 0; w < g.words; w++ {
-		if ^y[w]&^x[w]&obs[w] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// disjoint reports whether x & y == 0 on the observable samples.
-func (g *generator) disjoint(x, y, obs []uint64) bool {
-	for w := 0; w < g.words; w++ {
-		if x[w]&y[w]&obs[w] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// combEq checks (b OP c) [inverted] == target on the observable samples.
-func (g *generator) combEq(t *targetCtx, bv, cv []uint64, op binOp, invert bool) bool {
-	for w := 0; w < g.words; w++ {
-		var x uint64
-		if op == opAnd {
-			x = bv[w] & cv[w]
-		} else {
-			x = bv[w] | cv[w]
-		}
-		if invert {
-			x = ^x
-		}
-		if (x^t.av[w])&t.obs[w] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 var (
