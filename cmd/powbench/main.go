@@ -140,8 +140,7 @@ func main() {
 		})
 	}
 
-	opts := expt.RunOptions{MapArea: *mapArea, PreOptimize: *preOpt, Tracer: tracer}
-	opts.Core.Metrics = reg
+	opts := expt.RunOptions{MapArea: *mapArea, PreOptimize: *preOpt, Metrics: reg, Tracer: tracer}
 	if *probsPath != "" && *activityPath != "" {
 		fail(fmt.Errorf("use either -probs or -activity, not both (the dump already carries input probabilities)"))
 	}

@@ -27,7 +27,8 @@
 // JSON. -ledger-json writes the run
 // ledger (per-substitution provenance and power attribution), -report
 // renders a markdown run explanation to stdout, -metrics prints the
-// metrics registry and phase breakdown to stderr, and
+// phase breakdown and the metrics the run's result folds into
+// (core.RecordMetrics) to stderr, and
 // -cpuprofile/-memprofile write pprof profiles. The report goes to
 // stdout; traces and progress go to stderr.
 package main
@@ -146,7 +147,7 @@ func main() {
 	flag.StringVar(&cfg.tracePerfetto, "trace-perfetto", "", "write the run's hierarchical span trace as Chrome/Perfetto trace-event JSON to this file (load in ui.perfetto.dev)")
 	flag.StringVar(&cfg.ledgerJSON, "ledger-json", "", "write the run ledger (substitution provenance + power attribution) as JSON to this file")
 	flag.BoolVar(&cfg.report, "report", false, "print a markdown run report (attribution table, predicted-vs-realized, reject and proof stats) instead of the plain summary")
-	flag.BoolVar(&cfg.metrics, "metrics", false, "collect a metrics registry and print it to stderr")
+	flag.BoolVar(&cfg.metrics, "metrics", false, "print the phase breakdown and the run's metrics to stderr")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a pprof heap profile to this file")
 	flag.Parse()
@@ -163,16 +164,15 @@ func main() {
 	}
 }
 
-// buildSink assembles the event views of one run from the flags: the
+// buildSink assembles the views of one run from the flags: the
 // -trace-json file and the -v renderer, both fed by the tracer's span
-// ends. cleanup releases the trace file. The sink is nil when neither
-// flag is set.
+// ends, and for -metrics or -trace-json the registry the run's result is
+// folded into. cleanup releases the trace file. The sink is nil when
+// neither -trace-json nor -v is set.
 func buildSink(cfg config, stderr io.Writer) (sink obs.Sink, reg *obs.Registry, cleanup func(), err error) {
 	var sinks []obs.Sink
 	cleanup = func() {}
-	// -report reads proof-latency quantiles from the registry, so it
-	// forces one on even without -metrics.
-	if cfg.metrics || cfg.report || cfg.traceJSON != "" {
+	if cfg.metrics || cfg.traceJSON != "" {
 		reg = obs.NewRegistry()
 	}
 	if cfg.traceJSON != "" {
@@ -483,7 +483,6 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 		Power:            power.Options{Words: cfg.words, Seed: cfg.seed},
 		Transform:        transform.Config{AllowInverted: cfg.inverted},
 		Activity:         activityLabel,
-		Metrics:          reg,
 	}
 
 	var original *netlist.Netlist
@@ -511,6 +510,7 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 			}
 		}
 		sres, err := seq.OptimizeCtx(ctx, circ, sopts)
+		seq.RecordMetrics(reg, sres, err)
 		if err != nil {
 			return err
 		}
@@ -527,6 +527,7 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 		}
 		var err error
 		res, err = core.OptimizeCtx(ctx, nl, opts)
+		core.RecordMetrics(reg, res)
 		if err != nil {
 			return err
 		}
@@ -581,7 +582,7 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 	}
 
 	if cfg.report {
-		core.WriteReport(stdout, nl.Name, res, reg)
+		core.WriteReport(stdout, nl.Name, res)
 	} else {
 		fmt.Fprintf(stdout, "circuit: %s\n", nl.Name)
 		fmt.Fprintf(stdout, "  power: %10.3f -> %10.3f  (%.1f%% reduction)\n",

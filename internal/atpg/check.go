@@ -83,6 +83,9 @@ type CheckStats struct {
 	// (structural verdicts that never reach the solver contribute zero).
 	Conflicts int64
 	Decisions int64
+	// Cached counts the refutations answered by the shared refuted-miter
+	// cache without a solve (included in Checks and Refuted).
+	Cached int
 }
 
 // CheckDetail records the outcome and effort of one proof, for callers

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"powder/internal/netlist"
-	"powder/internal/obs"
 	"powder/internal/obs/trace"
 	"powder/internal/sat"
 )
@@ -40,11 +39,9 @@ type IncrementalChecker struct {
 
 	// Budget is the conflict budget per check; exceeded means Aborted.
 	Budget int64
-	Stats  CheckStats
-	// Metrics, when non-nil, receives the per-check metrics and
-	// atpg.sigcache.hits for cache short-circuits; each proof's detail is
-	// on its "atpg-check" span.
-	Metrics *obs.Registry
+	// Stats counts the checker's proofs; each proof's detail is on its
+	// "atpg-check" span.
+	Stats CheckStats
 	// Ctx, when non-nil, is polled inside the SAT search; a cancelled
 	// context makes the in-flight proof return Aborted promptly.
 	Ctx context.Context
@@ -112,6 +109,7 @@ func (c *IncrementalChecker) check(kind string, changed []netlist.Branch, src So
 	sp.SetAttr("incremental", true)
 	if cached {
 		sp.SetAttr("sigcache", true)
+		c.Stats.Cached++
 	}
 	if c.Budget > 0 {
 		sp.SetAttr("budget", c.Budget)
@@ -132,17 +130,6 @@ func (c *IncrementalChecker) check(kind string, changed []netlist.Branch, src So
 		Decisions: decisions,
 		Seconds:   time.Since(start).Seconds(),
 		Budget:    c.Budget,
-	}
-
-	if m := c.Metrics; m != nil {
-		m.Counter("atpg.checks").Inc()
-		m.Counter("atpg.verdict." + v.String()).Inc()
-		m.Counter("atpg.conflicts").Add(conflicts)
-		m.Counter("atpg.decisions").Add(decisions)
-		m.Histogram("atpg.check.seconds").ObserveSince(start)
-		if cached {
-			m.Counter("atpg.sigcache.hits").Inc()
-		}
 	}
 	return v, support
 }

@@ -114,11 +114,6 @@ type Options struct {
 	// table). 0 uses the default of 4096; negative disables the ledger
 	// entirely, leaving Result.Ledger nil.
 	LedgerLimit int
-	// Metrics, when non-nil, receives the run's counters and histograms
-	// (applies and rejects by reason, proofs, harvests, power and timing
-	// updates, region scheduling). The run's events are its span ends,
-	// which a tracer on the context records.
-	Metrics *obs.Registry
 	// Progress, when non-nil, receives a compact run snapshot after the
 	// initial estimates, after every applied substitution, and once more
 	// when the run ends (Done set). It is invoked synchronously on the
@@ -404,9 +399,6 @@ func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
 //     input, and the panic is returned as an error.
 func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *Result, err error) {
 	opts.normalize()
-	m := opts.Metrics
-	opts.Power.Metrics = m
-	opts.Transform.Metrics = m
 	start := time.Now()
 
 	// Root span of the run and of its phase table: every round, region,
@@ -433,7 +425,6 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 	r := &run{
 		nl:      nl,
 		opts:    &opts,
-		metrics: m,
 		span:    optSpan,
 		sig:     atpg.NewSigCache(),
 		conf:    obs.NewConflictLedger(0),
@@ -446,7 +437,7 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 	}
 	r.lastGood = r.input
 	if opts.Parallelism > 1 {
-		res.Parallel, r.parMetrics = r.par, m
+		res.Parallel = r.par
 	}
 	// The run ledger records every selected attempt; a nil ledger (when
 	// disabled) is a no-op on every method.
@@ -463,7 +454,7 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 			func() {
 				defer func() { _ = recover() }()
 				res.Final = power.Estimate(nl, opts.Power).Snapshot()
-				res.FinalDelay = sta.NewObserved(nl, 0, nil).Delay()
+				res.FinalDelay = sta.New(nl, 0).Delay()
 			}()
 			r.seal(start)
 			err = fmt.Errorf("core: recovered panic in optimization: %v (netlist restored to last verified snapshot)", p)
@@ -475,7 +466,7 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 		res.Initial = r.pm.Snapshot()
 	})
 	phase(ctx, "delay-analysis", func() {
-		res.InitialDelay = sta.NewObserved(nl, 0, m).Delay()
+		res.InitialDelay = sta.New(nl, 0).Delay()
 	})
 
 	res.Constraint = opts.DelayConstraint
@@ -495,7 +486,7 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 
 	phase(ctx, "power-estimate", func() { res.Final = r.pm.Snapshot() })
 	phase(ctx, "delay-analysis", func() {
-		res.FinalDelay = sta.NewObserved(nl, 0, m).Delay()
+		res.FinalDelay = sta.New(nl, 0).Delay()
 	})
 	addCheckStats(&res.CheckStats, r.prover.stats())
 	if par := res.Parallel; par != nil {
@@ -503,8 +494,6 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 		if s := r.conf.Summary(); s.Total > 0 {
 			par.ConflictLedger = &s
 		}
-		m.Histogram("core.par.run.busy_frac").Observe(par.BusyFrac())
-		m.Histogram("core.par.run.commit_share").Observe(par.CommitShare())
 	}
 	var vErr error
 	phase(ctx, "validate", func() { vErr = nl.Validate() })

@@ -173,18 +173,16 @@ func TestLedgerRecordsProofsAndRejects(t *testing.T) {
 
 // TestWriteReport pins the report's shape and its attribution totals.
 func TestWriteReport(t *testing.T) {
-	reg := obs.NewRegistry()
 	nl := compileBenchmark(t, "comp")
 	res, err := Optimize(nl, Options{
 		Power:     powerOptsSmall(),
 		Transform: transform.Config{AllowInverted: true},
-		Metrics:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	WriteReport(&sb, "comp", res, reg)
+	WriteReport(&sb, "comp", res)
 	out := sb.String()
 	for _, want := range []string{
 		"# POWDER run report — comp",

@@ -52,7 +52,6 @@ func TestInstrumentationNames(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts.Metrics = obs.NewRegistry()
 				res, err := OptimizeCtx(trace.NewContext(ctx, tr), compileBenchmark(t, "comp"), opts)
 				if err != nil {
 					t.Fatal(err)

@@ -17,9 +17,8 @@ const reportTopMoves = 10
 // WriteReport renders a human-readable markdown explanation of one run:
 // the headline numbers, the attribution table of the best moves, the
 // predicted-vs-realized calibration of the gain estimator, the
-// reject-reason breakdown, and — when a registry is supplied — the
-// permissibility-proof latency quantiles.
-func WriteReport(w io.Writer, name string, res *Result, reg *obs.Registry) {
+// reject-reason breakdown, and the permissibility-proof effort.
+func WriteReport(w io.Writer, name string, res *Result) {
 	fmt.Fprintf(w, "# POWDER run report — %s\n\n", name)
 	fmt.Fprintf(w, "Power %.6g -> %.6g (**-%.2f%%**), area %.0f -> %.0f, delay %.3g -> %.3g.\n",
 		res.Initial.Power, res.Final.Power, res.PowerReductionPct(),
@@ -40,7 +39,7 @@ func WriteReport(w io.Writer, name string, res *Result, reg *obs.Registry) {
 	writeRejects(w, res, led)
 	writeRegionTable(w, res, led)
 	writeConflictHeatmap(w, res)
-	writeProofLatency(w, res, reg)
+	writeProofLatency(w, res)
 }
 
 // writeRegionTable renders the parallel engine's per-region breakdown:
@@ -305,9 +304,9 @@ func writeRejects(w io.Writer, res *Result, led *obs.LedgerSummary) {
 }
 
 // writeProofLatency renders the permissibility-proof effort: the check
-// counts from Result and the latency quantiles from the registry's
-// "atpg.check.seconds" histogram when one was recording.
-func writeProofLatency(w io.Writer, res *Result, reg *obs.Registry) {
+// counts from Result and the latency quantiles of the proof records the
+// ledger retained (one per proved candidate, escalations included).
+func writeProofLatency(w io.Writer, res *Result) {
 	if res.CheckStats.Checks == 0 {
 		return
 	}
@@ -322,7 +321,17 @@ func writeProofLatency(w io.Writer, res *Result, reg *obs.Registry) {
 			res.Escalation.Retries, res.Escalation.Permissible,
 			res.Escalation.Refuted, res.Escalation.Exhausted)
 	}
-	if h := reg.Histogram("atpg.check.seconds"); h.Count() > 0 {
+	h := obs.NewHistogram()
+	if led := res.Ledger; led != nil {
+		for _, entries := range [][]obs.LedgerAttempt{led.Moves, led.Rejects} {
+			for _, a := range entries {
+				if a.Proof != nil {
+					h.Observe(a.Proof.Seconds)
+				}
+			}
+		}
+	}
+	if h.Count() > 0 {
 		fmt.Fprintf(w, "- proof latency: p50 %.3gs, p90 %.3gs, p99 %.3gs, max %.3gs over %d proofs\n",
 			h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max(), h.Count())
 	}

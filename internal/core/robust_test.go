@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +11,6 @@ import (
 	"powder/internal/circuits"
 	"powder/internal/faultinject"
 	"powder/internal/netlist"
-	"powder/internal/obs"
 	"powder/internal/power"
 	"powder/internal/synth"
 	"powder/internal/transform"
@@ -220,32 +218,6 @@ func TestEveryProofAccountedFor(t *testing.T) {
 			t.Errorf("%s: %d proofs, but %d applied + %d rejected with a proof", tc.name, proofs, res.Applied, rejected)
 		}
 		mustEquivalent(t, input, nl, "comp")
-	}
-}
-
-// TestOneRegionEmitsNoParMetrics pins that the core.par.* scheduling
-// series appear only on multi-region runs.
-func TestOneRegionEmitsNoParMetrics(t *testing.T) {
-	for _, par := range []int{1, 2} {
-		reg := obs.NewRegistry()
-		if _, err := Optimize(compileBenchmark(t, "comp"), Options{
-			Parallelism: par,
-			Power:       powerOptsSmall(),
-			Transform:   transform.Config{AllowInverted: true},
-			Metrics:     reg,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		snap, found := reg.Snapshot(), false
-		for name := range snap.Counters {
-			found = found || strings.HasPrefix(name, "core.par.")
-		}
-		for name := range snap.Histograms {
-			found = found || strings.HasPrefix(name, "core.par.")
-		}
-		if found != (par > 1) {
-			t.Errorf("-par %d: core.par.* series present = %v", par, found)
-		}
 	}
 }
 

@@ -77,6 +77,7 @@ func baselineOne(spec circuits.Spec, opts *RunOptions) (*BaselineRow, error) {
 		return nil, err
 	}
 	res, err := core.Optimize(nlP, cOpts)
+	core.RecordMetrics(opts.Metrics, res)
 	if err != nil {
 		return nil, err
 	}

@@ -60,6 +60,10 @@ type RunOptions struct {
 	// circuit index, so tables and reports render in the same order as a
 	// sequential run; only the interleaving of progress lines differs.
 	Parallel int
+	// Metrics, when non-nil, receives every engine run's result through
+	// core.RecordMetrics (seq.RecordMetrics for the sequential family),
+	// stopped and failed runs included.
+	Metrics *obs.Registry
 	// Tracer, when non-nil, records a hierarchical span trace of every
 	// Table 1 engine run: one "table1-free"/"table1-constr" root per
 	// circuit with the engine's optimize/harvest/prove/apply spans
@@ -324,6 +328,7 @@ func runOne(spec circuits.Spec, opts *RunOptions) (*Table1Row, map[transform.Kin
 	fSpan.SetAttr("circuit", spec.Name)
 	resFree, err := core.OptimizeCtx(fctx, nlFree, freeOpts)
 	fSpan.End()
+	core.RecordMetrics(opts.Metrics, resFree)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -343,6 +348,7 @@ func runOne(spec circuits.Spec, opts *RunOptions) (*Table1Row, map[transform.Kin
 	cSpan.SetAttr("circuit", spec.Name)
 	resC, err := core.OptimizeCtx(cctx, nlC, cOpts)
 	cSpan.End()
+	core.RecordMetrics(opts.Metrics, resC)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -404,6 +410,7 @@ func RunTradeoff(specs []circuits.Spec, pcts []int, opts RunOptions) ([]Tradeoff
 				return nil, fmt.Errorf("expt: %s: %v", spec.Name, err)
 			}
 			res, err := core.Optimize(nl, cOpts)
+			core.RecordMetrics(opts.Metrics, res)
 			if err != nil {
 				return nil, fmt.Errorf("expt: %s: %v", spec.Name, err)
 			}

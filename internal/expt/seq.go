@@ -98,6 +98,7 @@ func runOneSeq(spec circuits.SeqSpec, opts *RunOptions) (*SeqRow, error) {
 	sOpts.Core.DelayConstraint = 0
 	sOpts.Core.DelayFactor = 0
 	res, err := seq.Optimize(c, sOpts)
+	seq.RecordMetrics(opts.Metrics, res, err)
 	if err != nil {
 		return nil, err
 	}

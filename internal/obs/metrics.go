@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Registry is a concurrency-safe collection of named counters and
@@ -153,14 +152,6 @@ func (h *Histogram) Observe(v float64) {
 	h.count.Add(1)
 	h.sum.add(v)
 	h.max.storeMax(v)
-}
-
-// ObserveSince records the elapsed time since start, in seconds.
-func (h *Histogram) ObserveSince(start time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(time.Since(start).Seconds())
 }
 
 // Count returns the number of observations.

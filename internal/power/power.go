@@ -16,10 +16,8 @@ package power
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"powder/internal/netlist"
-	"powder/internal/obs"
 	"powder/internal/sim"
 )
 
@@ -36,8 +34,6 @@ type Model struct {
 	// internal stems keep the propagated model. nil when nothing is
 	// pinned.
 	pinned []float64
-	// metrics records refresh/resync metrics; nil disables.
-	metrics *obs.Registry
 }
 
 // New builds a power model over a simulator that has already been run.
@@ -152,7 +148,6 @@ func (m *Model) PerNode(buf []float64) []float64 {
 // local netlist edit; for structural changes that added nodes, call
 // Resync instead.
 func (m *Model) Refresh(roots ...netlist.NodeID) {
-	m.metrics.Counter("power.refreshes").Inc()
 	m.s.ResimFrom(roots...)
 	seen := make(map[netlist.NodeID]bool)
 	var walk func(id netlist.NodeID)
@@ -176,11 +171,8 @@ func (m *Model) Refresh(roots ...netlist.NodeID) {
 // Resync rebuilds the simulator tables after nodes were added or removed,
 // then reestimates all probabilities.
 func (m *Model) Resync() {
-	start := time.Now()
 	m.s.Resync()
 	m.Reestimate()
-	m.metrics.Counter("power.resyncs").Inc()
-	m.metrics.Histogram("power.resync.seconds").ObserveSince(start)
 }
 
 // Scale converts a sum C*E value into the full Eq. 1 power for the given
@@ -224,9 +216,6 @@ type Options struct {
 	// InputProbs is nil), exhaustive vectors are used and the estimate is
 	// exact. Default 14.
 	ExhaustiveLimit int
-	// Metrics, when non-nil, is attached to the model: Estimate records
-	// "power.estimate.seconds" and the model counts refreshes/resyncs.
-	Metrics *obs.Registry
 }
 
 func (o *Options) fill() {
@@ -245,7 +234,6 @@ func (o *Options) fill() {
 // given options. It is the one-call entry point used by tools and tests.
 func Estimate(nl *netlist.Netlist, opts Options) *Model {
 	opts.fill()
-	start := time.Now()
 	words := opts.Words
 	exhaustive := opts.InputProbs == nil && len(nl.Inputs()) <= opts.ExhaustiveLimit
 	if exhaustive {
@@ -269,8 +257,5 @@ func Estimate(nl *netlist.Netlist, opts Options) *Model {
 	if opts.InputToggles != nil {
 		m.PinInputs(opts.InputToggles)
 	}
-	m.metrics = opts.Metrics
-	opts.Metrics.Counter("power.estimates").Inc()
-	opts.Metrics.Histogram("power.estimate.seconds").ObserveSince(start)
 	return m
 }

@@ -10,6 +10,7 @@ import (
 	"powder/internal/blif"
 	"powder/internal/cellib"
 	"powder/internal/core"
+	"powder/internal/obs"
 )
 
 // redundant2 is a sequential circuit whose next-state cone contains
@@ -97,6 +98,38 @@ func TestOptimizeDivergencePropagates(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "diverged") {
 		t.Fatalf("divergence should abort the run, got %v", err)
 	}
+}
+
+// TestRecordMetricsFoldsFixpoint pins the sequential fold: a converged
+// run counts seq.fixpoint.converged, observes its iteration count and
+// folds its core result; a diverged fixpoint counts
+// seq.fixpoint.diverged and nothing else.
+func TestRecordMetricsFoldsFixpoint(t *testing.T) {
+	reg := obs.NewRegistry()
+	res, err := Optimize(mustCircuit(t, redundant2), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	RecordMetrics(reg, res, err)
+	snap := reg.Snapshot()
+	if got := snap.Counters["seq.fixpoint.converged"]; got != 1 {
+		t.Errorf("seq.fixpoint.converged = %d, want 1", got)
+	}
+	if h := snap.Histograms["seq.fixpoint.iterations"]; h.Count != 1 || h.Sum != float64(res.Fixpoint.Iterations) {
+		t.Errorf("seq.fixpoint.iterations = %+v, want one observation of %d", h, res.Fixpoint.Iterations)
+	}
+	if got := snap.Counters["atpg.checks"]; got != int64(res.Core.CheckStats.Checks) || got == 0 {
+		t.Errorf("atpg.checks = %d, want the core result's %d", got, res.Core.CheckStats.Checks)
+	}
+
+	reg = obs.NewRegistry()
+	res, err = Optimize(mustCircuit(t, crossCoupled), Options{Fixpoint: FixpointOptions{Damping: -1, MaxIter: 10}})
+	RecordMetrics(reg, res, err)
+	snap = reg.Snapshot()
+	if got := snap.Counters["seq.fixpoint.diverged"]; got != 1 || len(snap.Counters) != 1 || len(snap.Histograms) != 0 {
+		t.Errorf("diverged run recorded %+v, want only seq.fixpoint.diverged = 1", snap)
+	}
+	RecordMetrics(nil, res, err)
 }
 
 // TestOptimizeRespectsCoreOptions smoke-checks that caller core options

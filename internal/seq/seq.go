@@ -27,7 +27,6 @@ import (
 
 	"powder/internal/blif"
 	"powder/internal/netlist"
-	"powder/internal/obs"
 	"powder/internal/obs/trace"
 )
 
@@ -72,8 +71,6 @@ type FixpointOptions struct {
 	// InputProbs optionally gives the signal probability of each true
 	// primary input, in Core().Inputs()[:NumInputs] order (nil = all 0.5).
 	InputProbs []float64
-	// Metrics receives the fixpoint metrics (nil-safe).
-	Metrics *obs.Registry
 }
 
 func (o *FixpointOptions) normalize(c *Circuit) error {
@@ -214,14 +211,11 @@ func SteadyStateCtx(ctx context.Context, c *Circuit, opts FixpointOptions) (*Fix
 		iterSpan.SetAttr("residual", residual)
 		iterSpan.End()
 		if residual <= opts.Tol {
-			opts.Metrics.Counter("seq.fixpoint.converged").Inc()
-			opts.Metrics.Histogram("seq.fixpoint.iterations").Observe(float64(iter))
 			endFixpoint("converged")
 			return res, nil
 		}
 	}
 	endFixpoint("diverged")
-	opts.Metrics.Counter("seq.fixpoint.diverged").Inc()
 	return res, fmt.Errorf("%w: residual %.3g after %d iterations (tol %.3g); try damping or a larger cap",
 		ErrDiverged, res.Residual, opts.MaxIter, opts.Tol)
 }

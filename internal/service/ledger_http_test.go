@@ -98,7 +98,7 @@ func TestServiceLedgerConflictWhileRunning(t *testing.T) {
 
 // TestServiceMetricsPrometheus runs a job, scrapes /metrics, and checks
 // the exposition parses, validates, and carries the service, runtime,
-// ledger, and proof-latency families. ?format=json keeps the snapshot.
+// ledger, and phase-time families. ?format=json keeps the snapshot.
 func TestServiceMetricsPrometheus(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 1}, nil)
 	st, resp := submit(t, ts.URL, "", circuitBLIF(t, "fig2"))
@@ -136,11 +136,17 @@ func TestServiceMetricsPrometheus(t *testing.T) {
 			t.Errorf("family %s missing from /metrics", family)
 		}
 	}
-	// The proof-latency histogram must expose the full cumulative-bucket
-	// contract (the validator has already checked its invariants).
-	if len(pm.Family("powder_atpg_check_seconds")) < len(obs.ExpositionBounds)+3 {
-		t.Errorf("powder_atpg_check_seconds incomplete: %d samples",
-			len(pm.Family("powder_atpg_check_seconds")))
+	// The proof row of the phase histogram must expose the full
+	// cumulative-bucket contract (the validator has already checked its
+	// invariants).
+	var proof int
+	for _, s := range pm.Family("powder_core_phase_seconds") {
+		if s.Labels["phase"] == "atpg-check" {
+			proof++
+		}
+	}
+	if proof < len(obs.ExpositionBounds)+3 {
+		t.Errorf(`powder_core_phase_seconds{phase="atpg-check"} incomplete: %d samples`, proof)
 	}
 
 	// JSON stays available behind ?format=json.

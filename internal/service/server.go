@@ -38,8 +38,9 @@ type Config struct {
 	// DefaultTimeout is the per-job wall-clock budget applied when a
 	// submission does not set one (0: unlimited).
 	DefaultTimeout time.Duration
-	// Registry receives the service and per-phase engine metrics
-	// (nil: a fresh registry, exposed at /metrics).
+	// Registry receives the service metrics and, folded from each
+	// finished job's result, the engine's (nil: a fresh registry,
+	// exposed at /metrics).
 	Registry *obs.Registry
 	// PowerWords / PowerSeed configure probability estimation for every
 	// job (<= 0: engine defaults of 64 words, seed 1).
@@ -476,7 +477,6 @@ func (s *Service) optimize(ctx context.Context, j *Job) (*core.Result, error) {
 		Power:            power.Options{Words: s.cfg.PowerWords, Seed: s.cfg.PowerSeed},
 		Transform:        transform.Config{AllowInverted: true},
 		Activity:         j.activityLabel,
-		Metrics:          s.reg,
 		Progress:         j.setProgress,
 	}
 	if j.opts.DelayLimitPct >= 0 {
@@ -503,6 +503,7 @@ func (s *Service) optimize(ctx context.Context, j *Job) (*core.Result, error) {
 		}
 		var sres *seq.Result
 		sres, err = seq.OptimizeCtx(ctx, j.circ, sopts)
+		seq.RecordMetrics(s.reg, sres, err)
 		if sres != nil {
 			fp = sres.Fixpoint
 			res = sres.Core
@@ -516,6 +517,7 @@ func (s *Service) optimize(ctx context.Context, j *Job) (*core.Result, error) {
 			opts.Power.InputToggles = j.binding.Toggles
 		}
 		res, err = core.OptimizeCtx(ctx, j.nl, opts)
+		core.RecordMetrics(s.reg, res)
 	}
 	if res != nil && res.Ledger != nil {
 		// Publish the ledger even for failed or cancelled runs: partial

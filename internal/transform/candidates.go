@@ -3,13 +3,11 @@ package transform
 import (
 	"context"
 	"sort"
-	"time"
 
 	"powder/internal/atpg"
 	"powder/internal/cellib"
 	"powder/internal/logic"
 	"powder/internal/netlist"
-	"powder/internal/obs"
 	"powder/internal/obs/trace"
 	"powder/internal/power"
 )
@@ -34,9 +32,6 @@ type Config struct {
 	// each region worker the filter of its region; disjoint filters
 	// partition the full candidate set.
 	TargetFilter func(netlist.NodeID) bool
-	// Metrics, when non-nil, receives the harvest metrics: harvests,
-	// candidates by class, harvest seconds.
-	Metrics *obs.Registry
 }
 
 // Normalize fills defaults.
@@ -67,7 +62,6 @@ func GenerateCtx(ctx context.Context, nl *netlist.Netlist, pm *power.Model, cfg 
 	_, sp := trace.StartSpan(ctx, "harvest")
 	defer sp.End()
 	cfg.Normalize()
-	start := time.Now()
 	sm := pm.Sim()
 	g := &generator{nl: nl, pm: pm, cfg: cfg, tfoMask: make([]bool, nl.NumNodes()),
 		cones: netlist.NewDeadCones(nl), xorBase: make([][]netlist.NodeID, nl.NumNodes())}
@@ -136,7 +130,7 @@ func GenerateCtx(ctx context.Context, nl *netlist.Netlist, pm *power.Model, cfg 
 			}
 		}
 	}
-	harvested(sp, cfg.Metrics, g.out, len(g.pool), start)
+	harvested(sp, g.out, len(g.pool))
 	return g.out
 }
 
@@ -156,9 +150,9 @@ func (g *generator) clearTFO(root netlist.NodeID, touched []netlist.NodeID) {
 	}
 }
 
-// harvested records one Generate call: the candidate counts on the
-// harvest span and in the metrics registry.
-func harvested(sp *trace.Span, m *obs.Registry, cands []*Substitution, pool int, start time.Time) {
+// harvested records one Generate call's candidate counts on its harvest
+// span.
+func harvested(sp *trace.Span, cands []*Substitution, pool int) {
 	var byKind [IS3 + 1]int
 	for _, s := range cands {
 		byKind[s.Kind]++
@@ -169,17 +163,6 @@ func harvested(sp *trace.Span, m *obs.Registry, cands []*Substitution, pool int,
 	sp.SetAttr("is2", byKind[IS2])
 	sp.SetAttr("os3", byKind[OS3])
 	sp.SetAttr("is3", byKind[IS3])
-	if m == nil {
-		return
-	}
-	m.Counter("transform.harvests").Inc()
-	m.Counter("transform.candidates").Add(int64(len(cands)))
-	for k, n := range byKind {
-		if n > 0 {
-			m.Counter("transform.candidates." + Kind(k).String()).Add(int64(n))
-		}
-	}
-	m.Histogram("transform.harvest.seconds").ObserveSince(start)
 }
 
 type targetCtx struct {
