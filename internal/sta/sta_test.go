@@ -139,7 +139,7 @@ func TestExtraLoadOK(t *testing.T) {
 	a := New(nl, 0)
 	// b has slack; a small extra load is fine, a huge one is not.
 	if !a.ExtraLoadOK(ids["b"], 0.1) {
-		// b is an input with InputDrive 0: any load is fine.
+		// b is an ideal input driver: any load is fine.
 		t.Errorf("input with zero drive must accept extra load")
 	}
 	// s2 is on the critical path with zero slack: any positive load fails.
@@ -165,18 +165,6 @@ func TestArrivalWithExtraLoad(t *testing.T) {
 	want := a.Arrival(s1) + 2.0*drive
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("ArrivalWithExtraLoad = %v, want %v", got, want)
-	}
-}
-
-func TestInputDrive(t *testing.T) {
-	nl, ids := diamond(t)
-	a0 := New(nl, 0)
-	a1 := NewWithInputDrive(nl, 0, 0.5)
-	if a1.Arrival(ids["a"]) <= a0.Arrival(ids["a"]) {
-		t.Errorf("input drive must delay input arrival")
-	}
-	if a1.Delay() <= a0.Delay() {
-		t.Errorf("input drive must increase circuit delay")
 	}
 }
 

@@ -30,7 +30,7 @@ func DelayOK(nl *netlist.Netlist, s *Substitution, a *sta.Analysis) bool {
 	if _, err := Apply(cp, &sCp); err != nil {
 		return false
 	}
-	d := sta.NewWithInputDrive(cp, 0, a.InputDrive).Delay()
+	d := sta.New(cp, 0).Delay()
 	return d <= a.Constraint()+delayEps
 }
 
