@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"mime"
 	"mime/multipart"
@@ -183,8 +184,8 @@ func parseJobOptions(r *http.Request) (JobOptions, error) {
 	}
 	if v := q.Get("delay-limit"); v != "" {
 		pct, err := strconv.ParseFloat(v, 64)
-		if err != nil || pct < 0 {
-			return opts, fmt.Errorf("bad delay-limit %q (want a percentage >= 0)", v)
+		if err != nil || pct < 0 || math.IsNaN(pct) || math.IsInf(pct, 0) {
+			return opts, fmt.Errorf("bad delay-limit %q (want a finite percentage >= 0)", v)
 		}
 		opts.DelayLimitPct = pct
 	}

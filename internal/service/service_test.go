@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -466,6 +467,35 @@ func TestServiceBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s: HTTP %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestServiceRejectsNonFiniteDelayLimit pins that a NaN or infinite
+// delay-limit is a bad request. A job holding one has a status that JSON
+// cannot encode, so accepting it would leave every later job listing
+// empty.
+func TestServiceRejectsNonFiniteDelayLimit(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1, QueueDepth: 4}, nil)
+	for _, v := range []string{"NaN", "Inf", "+Inf"} {
+		resp, err := http.Post(ts.URL+"/v1/jobs?delay-limit="+url.QueryEscape(v), "text/plain",
+			bytes.NewReader(circuitBLIF(t, "fig2")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("delay-limit=%s: HTTP %d, want 400", v, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var jobs []Status
+	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
+		t.Fatalf("GET /v1/jobs: HTTP %d, body does not decode: %v", resp.StatusCode, err)
 	}
 }
 
