@@ -210,3 +210,12 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return c.lru.Len()
 }
+
+// syncDir fsyncs a directory so a just-renamed file's directory entry is
+// durable. Errors are ignored: some filesystems refuse directory fsync.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		_ = d.Close()
+	}
+}
