@@ -7,12 +7,13 @@
 //	powderd [-addr :8844] [-workers N] [-queue N] [-lib cells.genlib]
 //	        [-store-dir DIR] [-cache-max N]
 //
-// With -store-dir, every job transition is journaled to a write-ahead
-// log under DIR: a crashed or restarted daemon recovers its job table,
-// serves finished results, and re-enqueues work that was queued or
-// running. The content-addressed result cache answers duplicate
-// submissions (same structural circuit, same options) instantly;
-// ?no-cache=1 on a submission bypasses it.
+// With -store-dir, every job transition is appended to a write-ahead
+// journal under DIR, the whole job store: a crashed or restarted
+// daemon replays it to recover its job table, serves finished results,
+// and re-enqueues work that was queued or running. The content-
+// addressed result cache answers duplicate submissions (same
+// structural circuit, same options) instantly; ?no-cache=1 on a
+// submission bypasses it.
 //
 // API (see the README "Serving" section for curl examples):
 //
@@ -80,7 +81,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for queued and in-flight jobs before cancelling them")
 		traceSample  = flag.Int64("trace-sample", 0, "span-trace one job in every N submissions (1 = every job, 0 = off)")
 		traceLimit   = flag.Int("trace-limit", 0, "recorded spans kept per traced job (0 = default 65536)")
-		storeDir     = flag.String("store-dir", "", "persist jobs and results here (WAL + snapshots); restarts recover the job table and re-enqueue interrupted work")
+		storeDir     = flag.String("store-dir", "", "persist jobs and results here (an append-only journal plus the result cache); restarts recover the job table and re-enqueue interrupted work")
 		cacheMax     = flag.Int("cache-max", 0, "content-addressed result-cache entries kept, LRU-evicted (0 = default 1024; needs -store-dir or runs in memory)")
 		verbose      = flag.Bool("v", false, "log every HTTP request")
 	)
@@ -115,8 +116,8 @@ func main() {
 		}
 	}()
 
-	// The durability layer: a WAL-backed job store under -store-dir plus
-	// a content-addressed result cache (persisted next to the store, or
+	// The durability layer: a job journal under -store-dir plus a
+	// content-addressed result cache (persisted next to the journal, or
 	// memory-only without one). A write failure inside the store degrades
 	// the daemon to in-memory operation instead of killing it.
 	var (
