@@ -413,7 +413,7 @@ func (s *Service) handleLedger(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case !st.State.Terminal():
 		writeError(w, http.StatusConflict, "job %s is %s; ledger not ready", j.ID(), st.State)
-	case led == nil:
+	case len(led) == 0:
 		writeError(w, http.StatusNotFound, "job %s finished %s without a ledger", j.ID(), st.State)
 	default:
 		writeJSON(w, http.StatusOK, led)
