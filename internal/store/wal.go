@@ -18,8 +18,11 @@ import (
 // are written in one Write call), so replay treats the first framing
 // violation — short header, short payload, CRC mismatch, or an
 // implausible length — as the end of the journal: everything before it
-// is kept, everything from it on is truncated away and counted in the
-// quarantine metric. Replay never fails the caller on corruption.
+// is kept, everything from it on is moved to journal.wal.corrupt and
+// counted in the truncation metric. Damage short of the tail (a bad
+// disk block) is handled the same way, so the intact frames after it
+// survive only in that file. Replay never fails the caller on
+// corruption.
 
 // frameHeaderSize is the fixed per-record framing overhead.
 const frameHeaderSize = 8
