@@ -5,15 +5,16 @@
 // Usage:
 //
 //	powderd [-addr :8844] [-workers N] [-queue N] [-lib cells.genlib]
-//	        [-store-dir DIR] [-cache-max N]
+//	        [-store-dir DIR]
 //
 // With -store-dir, every job transition is appended to a write-ahead
 // journal under DIR, the whole job store: a crashed or restarted
 // daemon replays it to recover its job table, serves finished results,
-// and re-enqueues work that was queued or running. The content-
-// addressed result cache answers duplicate submissions (same
-// structural circuit, same options) instantly; ?no-cache=1 on a
-// submission bypasses it.
+// and re-enqueues work that was queued or running. The job table is
+// also the content-addressed result cache: a duplicate submission
+// (same structural circuit, same options) is answered instantly from
+// the completed job that ran it, in memory without -store-dir and
+// across restarts with it; ?no-cache=1 on a submission bypasses it.
 //
 // API (see the README "Serving" section for curl examples):
 //
@@ -60,7 +61,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -81,8 +81,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for queued and in-flight jobs before cancelling them")
 		traceSample  = flag.Int64("trace-sample", 0, "span-trace one job in every N submissions (1 = every job, 0 = off)")
 		traceLimit   = flag.Int("trace-limit", 0, "recorded spans kept per traced job (0 = default 65536)")
-		storeDir     = flag.String("store-dir", "", "persist jobs and results here (an append-only journal plus the result cache); restarts recover the job table and re-enqueue interrupted work")
-		cacheMax     = flag.Int("cache-max", 0, "content-addressed result-cache entries kept, LRU-evicted (0 = default 1024; needs -store-dir or runs in memory)")
+		storeDir     = flag.String("store-dir", "", "persist jobs and results here in an append-only journal; restarts recover the job table, its cached results included, and re-enqueue interrupted work")
 		verbose      = flag.Bool("v", false, "log every HTTP request")
 	)
 	flag.Parse()
@@ -116,26 +115,16 @@ func main() {
 		}
 	}()
 
-	// The durability layer: a job journal under -store-dir plus a
-	// content-addressed result cache (persisted next to the journal, or
-	// memory-only without one). A write failure inside the store degrades
-	// the daemon to in-memory operation instead of killing it.
-	var (
-		jobStore *store.Store
-		cache    *store.Cache
-		cacheDir string
-	)
+	// The durability layer: a job journal under -store-dir. A write
+	// failure inside the store degrades the daemon to in-memory operation
+	// instead of killing it.
+	var jobStore *store.Store
 	if *storeDir != "" {
 		st, err := store.Open(store.Options{Dir: *storeDir, Registry: reg, Log: logger})
 		if err != nil {
 			fail(err)
 		}
 		jobStore = st
-		cacheDir = filepath.Join(*storeDir, "cache")
-	}
-	cache, err := store.OpenCache(cacheDir, *cacheMax, reg, logger)
-	if err != nil {
-		fail(err)
 	}
 
 	svc := service.New(service.Config{
@@ -148,7 +137,6 @@ func main() {
 		TraceSample:    *traceSample,
 		TraceLimit:     *traceLimit,
 		Store:          jobStore,
-		Cache:          cache,
 	})
 	if jobStore != nil {
 		requeued, served := svc.Restore()

@@ -125,9 +125,7 @@ func TestActivityUploadRoundTrip(t *testing.T) {
 // workload hits the entry filled by the VCD submission, while a dump
 // with different statistics — or no dump at all — misses.
 func TestActivityCacheKeyedOnDigest(t *testing.T) {
-	reg := obs.NewRegistry()
-	cache := openTestCache(t, "", 16, reg)
-	_, ts := newTestService(t, Config{Workers: 2, QueueDepth: 8, Registry: reg, Cache: cache}, nil)
+	_, ts := newTestService(t, Config{Workers: 2, QueueDepth: 8}, nil)
 	body := circuitBLIF(t, "maj3")
 	vcdA, saifA := dumpsFor(t, "maj3", 7)
 	vcdB, _ := dumpsFor(t, "maj3", 8) // different workload, different digest

@@ -15,10 +15,12 @@ import (
 )
 
 // This file is the service's durability seam: cache-key derivation,
-// journal persistence at every job transition, cache-hit completion
-// without a pool dispatch, and startup recovery (Restore). Everything
-// here is a no-op when Config.Store and Config.Cache are nil, so a
-// memory-only service pays nothing.
+// the result cache (an index from cache key to the completed job that
+// answers it), cache-hit completion without a pool dispatch, journal
+// persistence at every job transition, and startup recovery (Restore).
+// The journal calls are no-ops when Config.Store is nil; the cache is
+// always on, memory-only without a store and re-warmed from the journal
+// with one.
 
 // cacheKey derives the content address of a submission: the structural
 // hash of the parsed core netlist (invariant to formatting, gate order,
@@ -26,12 +28,7 @@ import (
 // change the produced result — the effective timeout, the delay
 // constraint, the substitution cap, verification, the resolved input
 // probabilities, and the service-wide power-estimation configuration.
-// It returns "" (no caching, no persistence key) when neither a store
-// nor a cache is configured, keeping the memory-only path free.
 func (s *Service) cacheKey(sub *submission, opts JobOptions) string {
-	if s.cfg.Store == nil && s.cfg.Cache == nil {
-		return ""
-	}
 	h := sha256.New()
 	io.WriteString(h, "powder-cache/v1\n")
 	io.WriteString(h, sub.nl.StructuralHash())
@@ -51,56 +48,78 @@ func (s *Service) cacheKey(sub *submission, opts JobOptions) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// jobFromCache completes a duplicate submission instantly from a cache
-// entry: the job is born terminal, carries the cached result, BLIF, and
-// ledger, and never touches the worker pool. It shares the entry's BLIF
-// and ledger JSON (entries are never mutated) and drops the uploaded
-// activity dump, which only a run would read.
-func (s *Service) jobFromCache(e *store.CacheEntry, opts JobOptions, key string) *Job {
+// cacheLookup returns the completed job that answers key, or nil,
+// counting the lookup as a cache hit or miss.
+func (s *Service) cacheLookup(key string) *Job {
+	s.mu.Lock()
+	src := s.results[key]
+	s.mu.Unlock()
+	if src == nil {
+		s.reg.Counter("store.cache.misses").Inc()
+		return nil
+	}
+	s.reg.Counter("store.cache.hits").Inc()
+	return src
+}
+
+// cacheFill makes the completed job j the answer to duplicate
+// submissions of key. A job recovered from a record without a key is
+// not cached.
+func (s *Service) cacheFill(key string, j *Job) {
+	if key == "" {
+		return
+	}
+	s.mu.Lock()
+	s.results[key] = j
+	s.mu.Unlock()
+}
+
+// jobFromCache completes a duplicate submission instantly from the job
+// src that answers it: the job is born terminal, carries src's result,
+// BLIF, and ledger, and never touches the worker pool. It shares them
+// with src (none changes once src's result is cached) and drops the
+// uploaded activity dump, which only a run would read.
+func (s *Service) jobFromCache(src *Job, opts JobOptions, key string) *Job {
 	now := time.Now()
 	opts.ActivityDump = nil
-	hub := obs.NewHub(0)
-	hub.SetDropCounter(s.reg.Counter("obs.dropped.events"))
+	src.mu.Lock()
 	j := &Job{
 		id:          fmt.Sprintf("j%06d", s.seq.Add(1)),
 		opts:        opts,
-		hub:         hub,
+		hub:         s.newHub(),
 		state:       StateCompleted,
-		circuit:     e.Circuit,
+		circuit:     src.circuit,
 		submittedAt: now,
 		finishedAt:  now,
 		cached:      true,
 		cacheKey:    key,
-		resultBLIF:  e.ResultBLIF,
-		ledgerJSON:  e.Ledger,
+		result:      src.result,
+		resultBLIF:  src.resultBLIF,
+		ledgerJSON:  src.ledgerJSON,
 	}
+	src.mu.Unlock()
 	// The job needs no cancellation: it is already terminal. A closed
 	// context keeps ctx-consumers (none today) from leaking.
 	j.ctx, j.cancel = cancelledContext()
-	if len(e.Result) > 0 {
-		var jr JobResult
-		if err := json.Unmarshal(e.Result, &jr); err == nil {
-			j.result = &jr
-		}
-	}
 	s.registerJob(j)
 	s.reg.Counter("service.jobs.cached").Inc()
 	s.finishStats(j, StateCompleted)
-	hub.Emit(obs.Event{Time: now, Name: "job-cached", Fields: obs.Fields{
+	j.hub.Emit(obs.Event{Time: now, Name: "job-cached", Fields: obs.Fields{
 		"job": j.id, "circuit": j.circuit, "key": key,
 	}})
-	hub.Emit(obs.Event{Time: now, Name: "job-finished", Fields: obs.Fields{
+	j.hub.Emit(obs.Event{Time: now, Name: "job-finished", Fields: obs.Fields{
 		"job": j.id, "state": string(StateCompleted), "cached": true,
 	}})
-	hub.Close()
+	j.hub.Close()
 	// Persist the terminal job so the listing survives a restart; the
 	// input is not stored (the job will never re-run).
 	if st := s.cfg.Store; st != nil {
 		ob, _ := json.Marshal(opts)
+		rb, _ := json.Marshal(j.result)
 		st.AppendSubmit(store.JobRecord{
 			ID: j.id, State: store.StateCompleted, Circuit: j.circuit,
 			CacheKey: key, Options: ob, SubmittedAt: now, FinishedAt: now,
-			Result: e.Result, ResultBLIF: e.ResultBLIF, Ledger: e.Ledger,
+			Result: rb, ResultBLIF: j.resultBLIF, Ledger: j.ledgerJSON,
 		})
 	}
 	return j
@@ -153,39 +172,30 @@ func (s *Service) persistFinish(j *Job) {
 	st.AppendFinish(j.id, string(state), finishedAt, rb, resultBLIF, ledger, errMsg)
 }
 
-// maybeCacheResult publishes a completing job's outcome into the result
-// cache. Runs stopped early (deadline, cancellation, panic recovery)
-// are wall-clock-dependent and are never cached; a deterministic rerun
-// of the same submission would not reproduce them. It runs before the
+// maybeCacheResult makes a completing job the answer to its cache key.
+// Runs stopped early (deadline, cancellation, panic recovery) are
+// wall-clock-dependent and are never cached; a deterministic rerun of
+// the same submission would not reproduce them. It runs before the
 // job's terminal state is published, so `to` carries the state the job
 // is about to enter rather than j.state (still "running" here).
 func (s *Service) maybeCacheResult(j *Job, to State, stoppedEarly bool) {
-	c := s.cfg.Cache
-	if c == nil || j.cacheKey == "" || j.opts.NoCache || stoppedEarly {
+	if to != StateCompleted || j.opts.NoCache || stoppedEarly {
 		return
 	}
 	j.mu.Lock()
-	result := j.result
-	resultBLIF := j.resultBLIF
-	ledger := j.ledgerJSON
-	circuit := j.circuit
+	done := j.result != nil && j.resultBLIF != nil
 	j.mu.Unlock()
-	if to != StateCompleted || result == nil || resultBLIF == nil {
-		return
+	if done {
+		s.cacheFill(j.cacheKey, j)
 	}
-	rb, _ := json.Marshal(result)
-	c.Put(&store.CacheEntry{
-		Key: j.cacheKey, Circuit: circuit,
-		Result: rb, ResultBLIF: resultBLIF, Ledger: ledger,
-	})
 }
 
 // Restore rebuilds the job table from the configured store: terminal
-// jobs are served immediately (and completed ones re-warm the cache),
-// jobs that were queued or running at crash time are re-enqueued from
-// their persisted input under their original IDs. The job-ID sequence
-// resumes past the highest recovered ID. Call once, after New and
-// before serving HTTP.
+// jobs are served immediately (and completed ones answer duplicate
+// submissions again), jobs that were queued or running at crash time
+// are re-enqueued from their persisted input under their original IDs.
+// The job-ID sequence resumes past the highest recovered ID. Call once,
+// after New and before serving HTTP.
 func (s *Service) Restore() (requeued, served int) {
 	st := s.cfg.Store
 	if st == nil {
@@ -235,7 +245,8 @@ func (s *Service) Restore() (requeued, served int) {
 }
 
 // restoreTerminal rebuilds a finished job from its record: status,
-// result, BLIF, and ledger are served exactly as before the restart.
+// result, BLIF, and ledger are served exactly as before the restart, and
+// a completed, cacheable one answers duplicate submissions again.
 func (s *Service) restoreTerminal(rec store.JobRecord) {
 	hub := obs.NewHub(1)
 	hub.Close()
@@ -262,12 +273,8 @@ func (s *Service) restoreTerminal(rec store.JobRecord) {
 		}
 	}
 	s.registerJob(j)
-	if s.cfg.Cache != nil && j.state == StateCompleted && rec.CacheKey != "" &&
-		len(rec.ResultBLIF) > 0 && !j.opts.NoCache {
-		s.cfg.Cache.Put(&store.CacheEntry{
-			Key: rec.CacheKey, Circuit: rec.Circuit,
-			Result: rec.Result, ResultBLIF: rec.ResultBLIF, Ledger: rec.Ledger,
-		})
+	if j.state == StateCompleted && j.result != nil && len(j.resultBLIF) > 0 && !j.opts.NoCache {
+		s.cacheFill(j.cacheKey, j)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,25 +29,14 @@ func openTestStore(t *testing.T, dir string, reg *obs.Registry) *store.Store {
 	return st
 }
 
-// openTestCache opens a Cache rooted in dir (or memory-only for "").
-func openTestCache(t *testing.T, dir string, max int, reg *obs.Registry) *store.Cache {
-	t.Helper()
-	c, err := store.OpenCache(dir, max, reg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 // TestCacheHitServedWithoutDispatch is the cache acceptance criterion:
 // resubmitting an identical netlist under identical options is answered
 // from the cache — the job is terminal on arrival, the result BLIF is
-// byte-identical, and the hit is visible on the cache metrics without a
-// second pool dispatch.
+// byte-identical, and the hit is visible on the cache metrics and in the
+// flight recorder without a second pool dispatch.
 func TestCacheHitServedWithoutDispatch(t *testing.T) {
 	reg := obs.NewRegistry()
-	cache := openTestCache(t, "", 16, reg)
-	svc, ts := newTestService(t, Config{Workers: 2, QueueDepth: 8, Registry: reg, Cache: cache}, nil)
+	svc, ts := newTestService(t, Config{Workers: 2, QueueDepth: 8, Registry: reg}, nil)
 
 	body := circuitBLIF(t, "fig2")
 	st1, resp := submit(t, ts.URL, "", body)
@@ -84,6 +74,15 @@ func TestCacheHitServedWithoutDispatch(t *testing.T) {
 	if got := reg.Counter("service.jobs.cached").Value(); got != 1 {
 		t.Fatalf("service.jobs.cached = %d, want 1", got)
 	}
+	var flight struct {
+		Entries []obs.FlightEntry `json:"entries"`
+	}
+	getJSON(t, ts.URL+"/debug/flight", &flight)
+	if !slices.ContainsFunc(flight.Entries, func(e obs.FlightEntry) bool {
+		return e.Kind == "event" && e.Name == "job-cached" && e.Fields["job"] == st2.ID
+	}) {
+		t.Errorf("/debug/flight holds no job-cached event for %s", st2.ID)
+	}
 
 	// A structurally identical circuit with *different* internal gate
 	// names must also hit: the key is the structural hash, not the text.
@@ -106,9 +105,7 @@ func TestCacheHitServedWithoutDispatch(t *testing.T) {
 // bypassed submission is neither served from the cache nor published
 // into it.
 func TestNoCacheBypassesHitAndFill(t *testing.T) {
-	reg := obs.NewRegistry()
-	cache := openTestCache(t, "", 16, reg)
-	_, ts := newTestService(t, Config{Workers: 2, QueueDepth: 8, Registry: reg, Cache: cache}, nil)
+	svc, ts := newTestService(t, Config{Workers: 2, QueueDepth: 8}, nil)
 
 	body := circuitBLIF(t, "fig2")
 	st1, _ := submit(t, ts.URL, "?no-cache=1", body)
@@ -116,8 +113,11 @@ func TestNoCacheBypassesHitAndFill(t *testing.T) {
 		t.Fatal("no-cache submission served from cache")
 	}
 	waitTerminal(t, ts.URL, st1.ID)
-	if cache.Len() != 0 {
-		t.Fatalf("no-cache run populated the cache (%d entries)", cache.Len())
+	svc.mu.Lock()
+	n := len(svc.results)
+	svc.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("no-cache run populated the cache (%d keys)", n)
 	}
 
 	// Fill the cache with a normal run, then verify no-cache still runs.
@@ -130,17 +130,73 @@ func TestNoCacheBypassesHitAndFill(t *testing.T) {
 	waitTerminal(t, ts.URL, st3.ID)
 }
 
+// TestCacheMetricsWithoutStore pins the cache series /metrics exposes on
+// a daemon without a store: two runs fill two keys, three concurrent
+// duplicates hit them, and a ?no-cache duplicate counts as neither.
+func TestCacheMetricsWithoutStore(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 2, QueueDepth: 8}, nil)
+	bodies := [][]byte{circuitBLIF(t, "fig2"), circuitBLIF(t, "maj3")}
+	for _, body := range bodies {
+		st, _ := submit(t, ts.URL, "", body)
+		if fin := waitTerminal(t, ts.URL, st.ID); fin.State != StateCompleted || fin.Cached {
+			t.Fatalf("run %s: state %s cached %t", st.ID, fin.State, fin.Cached)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func(body []byte) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/jobs", "text/plain", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var st Status
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || !st.Cached {
+				t.Errorf("duplicate: HTTP %d cached %t (err %v), want a hit", resp.StatusCode, st.Cached, err)
+			}
+		}(bodies[i%2])
+	}
+	wg.Wait()
+	st, _ := submit(t, ts.URL, "?no-cache=1", bodies[0])
+	if fin := waitTerminal(t, ts.URL, st.ID); fin.Cached {
+		t.Fatal("no-cache duplicate served from the cache")
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	prom := string(b)
+	for _, want := range []string{
+		"\npowder_store_cache_entries 2\n",
+		"\npowder_store_cache_hits_total 3\n",
+		"\npowder_store_cache_misses_total 2\n",
+	} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
+		}
+	}
+	if strings.Contains(prom, "evictions") {
+		t.Error("/metrics still exposes a cache evictions family")
+	}
+}
+
 // TestRestoreServesCompletedJobs restarts the service over the same
 // store directory and checks that a finished job survives with its ID,
 // state, result, and byte-identical BLIF — and that the restored record
-// re-warms the result cache.
+// re-warms the result cache, which is in memory only.
 func TestRestoreServesCompletedJobs(t *testing.T) {
 	dir := t.TempDir()
 
 	reg1 := obs.NewRegistry()
 	st1 := openTestStore(t, dir, reg1)
-	cache1 := openTestCache(t, "", 16, reg1)
-	svc1 := New(Config{Workers: 2, QueueDepth: 8, Registry: reg1, Store: st1, Cache: cache1})
+	svc1 := New(Config{Workers: 2, QueueDepth: 8, Registry: reg1, Store: st1})
 	j, err := svc1.Submit(circuitBLIF(t, "fig2"), JobOptions{DelayLimitPct: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +219,7 @@ func TestRestoreServesCompletedJobs(t *testing.T) {
 
 	reg2 := obs.NewRegistry()
 	st2 := openTestStore(t, dir, reg2)
-	cache2 := openTestCache(t, "", 16, reg2)
-	svc2 := New(Config{Workers: 2, QueueDepth: 8, Registry: reg2, Store: st2, Cache: cache2})
+	svc2 := New(Config{Workers: 2, QueueDepth: 8, Registry: reg2, Store: st2})
 	defer func() { svc2.Close(); st2.Close() }()
 	requeued, served := svc2.Restore()
 	if requeued != 0 || served != 1 {
@@ -312,13 +367,11 @@ func TestCancelQueuedPurgesStore(t *testing.T) {
 // TestFinishedJobReleasesInputs checks that a finished job keeps only
 // what it serves: a verified run, a cancelled queued job and a cache hit
 // hold no netlist, probabilities, activity binding or uploaded dump, and
-// the hit shares the cache entry's BLIF instead of keeping its own
-// copy. The run, its cache entry and the hit share one ledger JSON.
+// the hit shares the run's result, BLIF and ledger JSON instead of
+// keeping its own copies.
 func TestFinishedJobReleasesInputs(t *testing.T) {
-	reg := obs.NewRegistry()
-	cache := openTestCache(t, "", 16, reg)
 	release := make(chan struct{})
-	svc, ts := newTestService(t, Config{Workers: 1, QueueDepth: 8, Registry: reg, Cache: cache},
+	svc, ts := newTestService(t, Config{Workers: 1, QueueDepth: 8},
 		func(ctx context.Context, j *Job) {
 			select {
 			case <-release:
@@ -357,14 +410,15 @@ func TestFinishedJobReleasesInputs(t *testing.T) {
 		}
 	}
 	hj, _ := svc.Job(hit.ID)
-	e, ok := cache.Get(hj.cacheKey)
-	if !ok || len(e.ResultBLIF) == 0 || &hj.ResultBLIF()[0] != &e.ResultBLIF[0] {
-		t.Error("cache hit does not share the entry's result BLIF")
-	}
 	rj, _ := svc.Job(run.ID)
-	led := rj.Ledger()
-	if len(led) == 0 || len(e.Ledger) == 0 || &e.Ledger[0] != &led[0] || &hj.Ledger()[0] != &led[0] {
-		t.Error("the run, its cache entry and the hit do not share one ledger JSON")
+	if hj.Status().Result != rj.Status().Result {
+		t.Error("cache hit does not share the run's result")
+	}
+	if b := rj.ResultBLIF(); len(b) == 0 || &hj.ResultBLIF()[0] != &b[0] {
+		t.Error("cache hit does not share the run's result BLIF")
+	}
+	if led := rj.Ledger(); len(led) == 0 || &hj.Ledger()[0] != &led[0] {
+		t.Error("the run and the hit do not share one ledger JSON")
 	}
 }
 
@@ -417,6 +471,8 @@ func TestDegradedStoreKeepsServing(t *testing.T) {
 // same job, repeatedly; run under -race this covers the
 // queued -> cancelled transition window. Whichever side wins, the job
 // must end exactly cancelled and the service must stay consistent.
+// Every submission bypasses the cache: a later blocker would otherwise
+// be answered by the first one's result and never reach the worker.
 func TestQueuedCancelRace(t *testing.T) {
 	release := make(chan struct{})
 	svc := New(Config{Workers: 1, QueueDepth: 8})
@@ -429,12 +485,13 @@ func TestQueuedCancelRace(t *testing.T) {
 	defer svc.Close()
 
 	body := circuitBLIF(t, "fig2")
+	opts := JobOptions{DelayLimitPct: -1, NoCache: true}
 	for i := 0; i < 25; i++ {
-		blocker, err := svc.Submit(body, JobOptions{DelayLimitPct: -1})
+		blocker, err := svc.Submit(body, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		victim, err := svc.Submit(body, JobOptions{DelayLimitPct: -1})
+		victim, err := svc.Submit(body, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -643,9 +643,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		obs.PromGauge(w, "powder_store_degraded", degraded)
 	}
-	if c := s.cfg.Cache; c != nil {
-		obs.PromGauge(w, "powder_store_cache_entries", float64(c.Len()))
-	}
+	s.mu.Lock()
+	cached := len(s.results)
+	s.mu.Unlock()
+	obs.PromGauge(w, "powder_store_cache_entries", float64(cached))
 	obs.WriteRuntimeMetrics(w)
 	s.reg.WritePrometheus(w, "powder_")
 }

@@ -160,7 +160,7 @@ type Job struct {
 	mu          sync.Mutex
 	state       State
 	circuit     string
-	cacheKey    string // content address of the submission ("" = uncacheable)
+	cacheKey    string // content address of the submission
 	cached      bool   // served from the result cache, never ran
 	submittedAt time.Time
 	startedAt   time.Time
@@ -180,7 +180,7 @@ type Job struct {
 	original      *netlist.Netlist // pre-optimization clone (verify only)
 	resultBLIF    []byte
 	// ledgerJSON is the encoded run ledger, shared with the journal
-	// record and cache entry that carry it.
+	// record and the cache hits that carry it.
 	ledgerJSON json.RawMessage
 
 	// tracer and the submit-time spans are set once in Submit on sampled

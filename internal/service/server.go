@@ -58,10 +58,6 @@ type Config struct {
 	// Store, when non-nil, persists every job transition to a write-
 	// ahead journal so jobs survive daemon restarts (see Restore).
 	Store *store.Store
-	// Cache, when non-nil, serves duplicate submissions (same structural
-	// circuit + same options) from cached results without a pool
-	// dispatch.
-	Cache *store.Cache
 }
 
 // Service owns the job store, the worker pool, and the HTTP handlers of
@@ -78,7 +74,10 @@ type Service struct {
 	mu    sync.Mutex
 	jobs  map[string]*Job
 	order []string
-	seq   atomic.Int64
+	// results is the result cache: each cache key maps to the completed
+	// job whose result answers a duplicate submission.
+	results map[string]*Job
+	seq     atomic.Int64
 
 	draining atomic.Bool
 	inflight atomic.Int64
@@ -109,6 +108,7 @@ func New(cfg Config) *Service {
 		reg:        cfg.Registry,
 		sampler:    trace.Every(cfg.TraceSample),
 		jobs:       make(map[string]*Job),
+		results:    make(map[string]*Job),
 		rootCtx:    ctx,
 		rootCancel: cancel,
 	}
@@ -191,21 +191,26 @@ func (s *Service) parseSubmission(body []byte, opts JobOptions) (*submission, er
 	return sub, nil
 }
 
+// newHub builds the event hub of a submitted job. It carries the job's
+// lifecycle events and, for a traced job, its span ends. Slow event
+// consumers must never stall a worker: the hub drops instead, and the
+// drops surface at /metrics. Every event also mirrors into the process
+// flight recorder for postmortems.
+func (s *Service) newHub() *obs.Hub {
+	hub := obs.NewHub(0)
+	hub.SetDropCounter(s.reg.Counter("obs.dropped.events"))
+	hub.SetMirror(obs.Flight())
+	return hub
+}
+
 // newJob builds a queued Job (with event hub and optional span tracer)
 // from a parsed submission; the caller registers and enqueues it.
 func (s *Service) newJob(id string, sub *submission, opts JobOptions, cacheKey string) *Job {
 	ctx, cancel := context.WithCancel(s.rootCtx)
-	// The hub carries the job's lifecycle events and, for a traced job,
-	// its span ends. Slow event consumers must never stall a worker: the
-	// hub drops instead, and the drops surface at /metrics. Every event
-	// also mirrors into the process flight recorder for postmortems.
-	hub := obs.NewHub(0)
-	hub.SetDropCounter(s.reg.Counter("obs.dropped.events"))
-	hub.SetMirror(obs.Flight())
 	j := &Job{
 		id:            id,
 		opts:          opts,
-		hub:           hub,
+		hub:           s.newHub(),
 		ctx:           ctx,
 		cancel:        cancel,
 		state:         StateQueued,
@@ -234,7 +239,7 @@ func (s *Service) newJob(id string, sub *submission, opts JobOptions, cacheKey s
 		j.tracer = trace.New(traceID, trace.Options{
 			Limit:       s.cfg.TraceLimit,
 			DropCounter: s.reg.Counter("trace.dropped.spans"),
-			Obs:         hub,
+			Obs:         j.hub,
 		})
 		tctx := trace.NewContext(ctx, j.tracer)
 		// The job root parents under the client's in-flight span (0, the
@@ -272,10 +277,10 @@ func (s *Service) unregisterJob(id string) {
 	s.mu.Unlock()
 }
 
-// Submit parses a BLIF circuit and enqueues it as a job — or, when the
-// result cache already holds the outcome for a structurally identical
-// circuit under the same options, returns a job that is complete on
-// arrival without touching the worker pool. It returns ErrDraining
+// Submit parses a BLIF circuit and enqueues it as a job — or, when a
+// completed job already answers a structurally identical circuit under
+// the same options, returns a job that is complete on arrival without
+// touching the worker pool. It returns ErrDraining
 // while the service drains and ErrQueueFull when the bounded queue has
 // no room (the HTTP layer maps these to 503 and 429).
 func (s *Service) Submit(body []byte, opts JobOptions) (*Job, error) {
@@ -295,10 +300,10 @@ func (s *Service) Submit(body []byte, opts JobOptions) (*Job, error) {
 		opts.Parallelism = s.pool.Workers()
 	}
 	key := s.cacheKey(sub, opts)
-	if key != "" && !opts.NoCache && s.cfg.Cache != nil {
-		if e, ok := s.cfg.Cache.Get(key); ok {
+	if !opts.NoCache {
+		if src := s.cacheLookup(key); src != nil {
 			s.reg.Counter("service.jobs.submitted").Inc()
-			return s.jobFromCache(e, opts, key), nil
+			return s.jobFromCache(src, opts, key), nil
 		}
 	}
 
@@ -458,9 +463,9 @@ func (s *Service) runJob(j *Job) {
 	}
 	runSpan.SetAttr("state", string(to))
 	runSpan.End()
-	// Fill the cache before the terminal state becomes visible: a client
-	// that polls the job to completion and immediately resubmits the
-	// same circuit must hit the entry, not race past the fill.
+	// Index the result before the terminal state becomes visible: a
+	// client that polls the job to completion and immediately resubmits
+	// the same circuit must hit it, not race past the fill.
 	if res != nil {
 		s.maybeCacheResult(j, to, res.StoppedEarly())
 	}

@@ -1,8 +1,8 @@
 // Package store is powderd's durability layer: an append-only,
 // CRC-framed write-ahead journal that persists job metadata, submitted
-// BLIF, and completed results across daemon restarts, and a
-// content-addressed cache of optimization results keyed by the
-// structural hash of the input.
+// BLIF, and completed results across daemon restarts. It holds no
+// result cache: the serving layer's job table answers duplicate
+// submissions, and a restart re-warms it from the replayed journal.
 //
 // The package is deliberately dumb about what it stores: options,
 // results, and ledgers travel as raw JSON so the serving layer above
@@ -65,7 +65,8 @@ type JobRecord struct {
 	State   string `json:"state"`
 	Circuit string `json:"circuit,omitempty"`
 	// CacheKey is the content-addressed key of the submission (structural
-	// hash + options), used to warm the result cache from recovered jobs.
+	// hash + options), used to re-index recovered results for duplicate
+	// submissions.
 	CacheKey string          `json:"cache_key,omitempty"`
 	Options  json.RawMessage `json:"options,omitempty"`
 	Input    []byte          `json:"input,omitempty"`
@@ -242,6 +243,15 @@ func saveTail(f *os.File, off int64, path string) error {
 		syncDir(filepath.Dir(path))
 	}
 	return err
+}
+
+// syncDir fsyncs a directory so a just-created file's directory entry is
+// durable. Errors are ignored: some filesystems refuse directory fsync.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		_ = d.Close()
+	}
 }
 
 // replayTable folds journal records into the job table they describe.

@@ -14,7 +14,9 @@
 # 4. A corrupted journal tail must degrade to a logged truncation on
 #    the next restart, never a startup failure, and the truncation must
 #    keep every intact record: the recovered job still serves its
-#    completed, byte-identical result from the journal alone.
+#    completed, byte-identical result from the journal alone. The
+#    journal alone also re-warms the result cache: a duplicate is served
+#    from it byte-identical, and no cache directory exists beside it.
 #
 # Usage: scripts/crash_recovery_e2e.sh [powderd-binary] [powder-binary]
 # Run from the repository root (go run resolves the module).
@@ -36,13 +38,20 @@ wait_healthy() {
   return 1
 }
 
+# job_field reads one top-level string field of powderd's pretty-printed
+# job JSON. It uses sed, not python3: each python3 start costs tens of
+# milliseconds, and step 2 must kill the daemon while spla is still
+# running.
+job_field() {
+  sed -n "s/^  \"$1\": *\"\([^\"]*\)\".*/\1/p"
+}
+
 job_state() {
-  curl -fsS "http://$1/v1/jobs/$2" | python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])'
+  curl -fsS "http://$1/v1/jobs/$2" | job_field state
 }
 
 submit_job() {
-  curl -fsS -X POST --data-binary @"$WORK/$CIRCUIT.blif" "http://$1/v1/jobs" |
-    python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])'
+  curl -fsS -X POST --data-binary @"$WORK/$CIRCUIT.blif" "http://$1/v1/jobs" | job_field id
 }
 
 # The initial mapped BLIF of the benchmark: both daemons must see
@@ -70,10 +79,11 @@ PD_B=$!
 wait_healthy "$ADDR_B"
 JOB=$(submit_job "$ADDR_B")
 for _ in $(seq 1 100); do
-  [ "$(job_state "$ADDR_B" "$JOB")" = running ] && break
+  STATE=$(job_state "$ADDR_B" "$JOB")
+  [ "$STATE" = running ] && break
   sleep 0.05
 done
-[ "$(job_state "$ADDR_B" "$JOB")" = running ] || { echo "job never started" >&2; exit 1; }
+[ "$STATE" = running ] || { echo "job never started" >&2; exit 1; }
 kill -9 "$PD_B"; wait "$PD_B" 2>/dev/null || true
 echo "killed powderd mid-job ($JOB running)"
 
@@ -117,6 +127,12 @@ assert h["status"] == "ok" and h["store"] == "ok", h
 [ "$(job_state "$ADDR_B" "$JOB")" = completed ]
 curl -fsS "http://$ADDR_B/v1/jobs/$JOB/result.blif" -o "$WORK/truncated.blif"
 cmp "$WORK/baseline.blif" "$WORK/truncated.blif"
-kill "$PD_B"; wait "$PD_B" 2>/dev/null || true
 echo "corrupted journal tail truncated on replay; daemon stayed up and kept $JOB"
+curl -fsS "http://$ADDR_B/metrics" | awk '$1 == "powder_store_cache_entries" { n = $2 } END { exit !(n >= 1) }'
+"$POWDER" -server "http://$ADDR_B" -circuit "$CIRCUIT" -out "$WORK/rewarmed.blif" >"$WORK/rewarmed.out" 2>&1
+grep -q 'cached: result served' "$WORK/rewarmed.out"
+cmp "$WORK/baseline.blif" "$WORK/rewarmed.blif"
+[ ! -e "$WORK/storeB/cache" ]
+kill "$PD_B"; wait "$PD_B" 2>/dev/null || true
+echo "the journal alone re-warmed the result cache; no cache directory"
 echo "crash-recovery e2e: PASS"
