@@ -411,7 +411,10 @@ func BenchmarkKernelGainAnalysis(b *testing.B) {
 }
 
 // BenchmarkKernelABAnalysis times PG_A+PG_B alone over every harvested
-// candidate of spla, the circuit where AB-analysis dominates the engine.
+// candidate of spla, one of the heavy-seq circuits. The engine analyzes
+// each candidate once per harvest and, after an apply, again only if the
+// apply may have moved its gain (DESIGN.md §5), so this rate times the
+// kernel, not its share of the engine.
 func BenchmarkKernelABAnalysis(b *testing.B) {
 	nl := compileCircuit(b, "spla")
 	pm := power.Estimate(nl, power.Options{})

@@ -13,7 +13,7 @@
 //	    if increases_delay(good) continue              // transform.DelayOK
 //	    if !check_candidate(good) continue             // atpg.IncrementalChecker (abort => reject)
 //	    perform_substitution(good)                     // transform.Apply
-//	    power_estimate_update(good)                    // power.Model refresh
+//	    power_estimate_update(good)                    // power.Model.Resync
 //	  }
 //	} while cand != {}
 //

@@ -423,6 +423,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 	})
 
 	an := transform.NewAnalyzer(replica, rpm)
+	rf := newRefresher(replica)
 	cfg := opts.Transform
 	if len(d.Regions) > 1 {
 		cfg.TargetFilter = func(id netlist.NodeID) bool { return d.RegionOf(id) == region }
@@ -507,17 +508,20 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		// Apply on the replica so later proofs and gains in this region
 		// see the updated structure; the master replays the same edit at
 		// commit time under the transactional journal.
+		pre, rewired := preApplyTouched(replica, best)
 		txn := replica.Begin()
 		_, aSpan := trace.StartSpan(cctx, "apply")
 		applyRes, applyErr := transform.ApplySafe(replica, best)
 		aSpan.End()
 		if applyErr != nil {
 			txn.Rollback()
+			rf.full = true
 			reject(cSpan, RejectApplyConflict, best, proof)
 			continue
 		}
 		txn.Commit()
-		phase(cctx, "power-resync", rpm.Resync)
+		var changed []netlist.NodeID
+		phase(cctx, "power-resync", func() { changed = rpm.Resync() })
 		timing = nil
 		rep.proposals = append(rep.proposals, proposal{
 			sub:     best,
@@ -537,17 +541,10 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		// keeps the pre-selection meaningful within the repeat window
 		// without a full re-harvest.
 		phase(wctx, "ab-analysis", func() {
-			kept := cands[:0]
-			for _, s := range cands {
-				if candidateValid(replica, s) {
-					an.AnalyzeAB(s)
-					kept = append(kept, s)
-				} else {
-					rep.rejects[RejectStale]++
-					r.led.CountReject(RejectStale)
-				}
-			}
-			cands = kept
+			cands = rf.refresh(an, cands, pre, rewired, applyRes, changed, func() {
+				rep.rejects[RejectStale]++
+				r.led.CountReject(RejectStale)
+			})
 		})
 	}
 	wSpan.SetAttr("proposals", len(rep.proposals))
@@ -641,7 +638,7 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 		pBefore = r.pm.Total()
 		r.perNodeBefore = r.pm.PerNode(r.perNodeBefore)
 	}
-	preTouched := preApplyTouched(nl, ms)
+	preTouched, _ := preApplyTouched(nl, ms)
 	preSig := poSignatures(r.pm, nl)
 	txn := nl.Begin()
 	_, aSpan := trace.StartSpan(pctx, "apply")
@@ -661,7 +658,7 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 		}
 	}
 	if applyErr == nil {
-		phase(pctx, "power-resync", r.pm.Resync)
+		phase(pctx, "power-resync", func() { r.pm.Resync() })
 		if !slices.Equal(preSig, poSignatures(r.pm, nl)) {
 			applyErr = fmt.Errorf("core: primary-output signatures changed after apply of %v", ms)
 			reason = RejectRollback
@@ -669,7 +666,7 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 	}
 	if applyErr != nil {
 		txn.Rollback()
-		phase(pctx, "power-resync", r.pm.Resync)
+		phase(pctx, "power-resync", func() { r.pm.Resync() })
 		pSpan.SetAttr("error", applyErr.Error())
 		fail(reason, proof)
 		return
@@ -930,18 +927,19 @@ func mapSub(s *transform.Substitution, mapID func(netlist.NodeID) (netlist.NodeI
 	return &ms, ok
 }
 
-// preApplyTouched lists the master nodes whose connectivity the pending
-// apply will change before the apply runs: the substituted stem, the
-// gates of every detached branch, and the signals picking up the moved
-// load.
-func preApplyTouched(nl *netlist.Netlist, s *transform.Substitution) []netlist.NodeID {
-	ids := []netlist.NodeID{s.A, s.Src.B}
+// preApplyTouched lists the nodes whose connectivity the pending apply
+// will change before the apply runs: the substituted stem, the signals
+// picking up the moved load, and from index rewired on the gates of
+// every detached branch, whose fanins the apply rewires.
+func preApplyTouched(nl *netlist.Netlist, s *transform.Substitution) (ids []netlist.NodeID, rewired int) {
+	ids = []netlist.NodeID{s.A, s.Src.B}
 	if s.Src.IsThree() {
 		ids = append(ids, s.Src.C)
 	}
 	if s.Inv == transform.InvReuse {
 		ids = append(ids, s.InvNode)
 	}
+	rewired = len(ids)
 	if s.IsBranchSub() {
 		ids = append(ids, s.G)
 	} else {
@@ -951,7 +949,7 @@ func preApplyTouched(nl *netlist.Netlist, s *transform.Substitution) []netlist.N
 			}
 		}
 	}
-	return ids
+	return ids, rewired
 }
 
 // postApplyTouched lists the nodes the apply created or destroyed plus

@@ -9,8 +9,9 @@
 // sum_i C(i)*E(i); Scale converts it to watts for given Vdd and f.
 //
 // The Model caches the transition probability of every signal, exactly as
-// POWDER stores them during the initial estimation, and updates the cache
-// incrementally over the transitive fanout of a modified signal.
+// POWDER stores them during the initial estimation. After an edit, Resync
+// re-simulates (the simulator rewrites only the words that change) and
+// re-derives the cache, whose entries move only where words changed.
 package power
 
 import (
@@ -62,9 +63,8 @@ func (m *Model) Reestimate() {
 // PinInputs pins the transition density of each primary input to the
 // given per-input values (in input order, matching nl.Inputs()); NaN
 // entries leave the input on the independence model. Pins come from a
-// measured workload activity profile and survive Reestimate, Refresh,
-// and Resync. Panics on a length mismatch, mirroring
-// sim.SetInputsRandom.
+// measured workload activity profile and survive Reestimate and Resync.
+// Panics on a length mismatch, mirroring sim.SetInputsRandom.
 func (m *Model) PinInputs(toggles []float64) {
 	ins := m.nl.Inputs()
 	if len(toggles) != len(ins) {
@@ -142,37 +142,15 @@ func (m *Model) PerNode(buf []float64) []float64 {
 	return out
 }
 
-// Refresh resimulates the transitive fanout of the given roots and updates
-// the cached transition probabilities there (the paper's
-// power_estimate_update after a performed substitution). Call it after a
-// local netlist edit; for structural changes that added nodes, call
-// Resync instead.
-func (m *Model) Refresh(roots ...netlist.NodeID) {
-	m.s.ResimFrom(roots...)
-	seen := make(map[netlist.NodeID]bool)
-	var walk func(id netlist.NodeID)
-	walk = func(id netlist.NodeID) {
-		if seen[id] {
-			return
-		}
-		seen[id] = true
-		m.e[id] = m.applyPin(id, transition(m.s.Probability(id)))
-		for _, b := range m.nl.Node(id).Fanouts() {
-			if !b.IsPO() {
-				walk(b.Gate)
-			}
-		}
-	}
-	for _, r := range roots {
-		walk(r)
-	}
-}
-
-// Resync rebuilds the simulator tables after nodes were added or removed,
-// then reestimates all probabilities.
-func (m *Model) Resync() {
-	m.s.Resync()
+// Resync re-simulates after the netlist was edited (the paper's
+// power_estimate_update after a performed substitution) and re-derives
+// every cached transition probability. It returns the nodes whose
+// simulated words changed, as sim.Simulator.Run does: a node's E can
+// only have moved if it is among them.
+func (m *Model) Resync() []netlist.NodeID {
+	changed := m.s.Resync()
 	m.Reestimate()
+	return changed
 }
 
 // Scale converts a sum C*E value into the full Eq. 1 power for the given

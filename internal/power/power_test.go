@@ -62,7 +62,7 @@ func TestPaperFigure2Power(t *testing.T) {
 	if err := nl.ReplaceFanin(ids["d"], 0, ids["e"]); err != nil {
 		t.Fatal(err)
 	}
-	m.Refresh(ids["d"], ids["a"], ids["e"])
+	m.Resync()
 	powerB := m.Total()
 	if powerB >= powerA {
 		t.Errorf("figure 2 rewiring must reduce power: A=%v B=%v", powerA, powerB)
@@ -105,24 +105,6 @@ func TestExactTotalSmallCircuit(t *testing.T) {
 	}
 	if got := m.SignalPower(ids["a"]); math.Abs(got-1.5) > 1e-12 {
 		t.Errorf("SignalPower(a) = %v, want 1.5", got)
-	}
-}
-
-func TestRefreshMatchesReestimate(t *testing.T) {
-	nl, ids := fig2A(t)
-	m := Estimate(nl, Options{})
-	if err := nl.ReplaceFanin(ids["f"], 0, ids["e"]); err != nil {
-		t.Fatal(err)
-	}
-	m.Refresh(ids["f"], ids["d"], ids["e"])
-	incr := m.Total()
-
-	// Fresh estimate from scratch must agree exactly (same vectors:
-	// exhaustive).
-	m2 := Estimate(nl, Options{})
-	full := m2.Total()
-	if math.Abs(incr-full) > 1e-12 {
-		t.Errorf("incremental %v vs full %v", incr, full)
 	}
 }
 
@@ -251,18 +233,15 @@ func TestPinInputsOverridesAndSurvivesRefresh(t *testing.T) {
 	if m.TransitionProb(ids["b"]) != 0.5 {
 		t.Fatalf("NaN pin disturbed b: %g", m.TransitionProb(ids["b"]))
 	}
-	// Pins survive a full reestimate and a TFO refresh.
+	// Pins survive a full reestimate and a resync.
 	m.Reestimate()
 	if m.TransitionProb(ids["a"]) != 0.9 {
 		t.Fatalf("pin lost after Reestimate: %g", m.TransitionProb(ids["a"]))
 	}
-	m.Refresh(ids["a"])
-	if m.TransitionProb(ids["a"]) != 0.9 {
-		t.Fatalf("pin lost after Refresh: %g", m.TransitionProb(ids["a"]))
-	}
 	m.Resync()
-	if m.TransitionProb(ids["c"]) != 0.1 {
-		t.Fatalf("pin lost after Resync: %g", m.TransitionProb(ids["c"]))
+	if m.TransitionProb(ids["a"]) != 0.9 || m.TransitionProb(ids["c"]) != 0.1 {
+		t.Fatalf("pins lost after Resync: E(a)=%g E(c)=%g",
+			m.TransitionProb(ids["a"]), m.TransitionProb(ids["c"]))
 	}
 	// Internal stems keep the propagated model (d = a^c under exhaustive
 	// p=0.5 inputs still has E=0.5: the pin changes E at the PI stem, not

@@ -165,31 +165,6 @@ func TestObservabilityZeroMeansNoPOEffect(t *testing.T) {
 	}
 }
 
-// TestResimFromIdempotent: resimulating with no change must not alter any
-// value.
-func TestResimFromIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(3003))
-	nl := randomNetlist(t, rng, 6, 15)
-	s := New(nl, 4)
-	s.SetInputsRandom(1, nil)
-	s.Run()
-	snapshot := make(map[netlist.NodeID][]uint64)
-	nl.LiveNodes(func(n *netlist.Node) {
-		snapshot[n.ID()] = append([]uint64(nil), s.Value(n.ID())...)
-	})
-	for id := range snapshot {
-		s.ResimFrom(id)
-	}
-	for id, want := range snapshot {
-		got := s.Value(id)
-		for w := range want {
-			if got[w] != want[w] {
-				t.Fatalf("ResimFrom changed node %d without a netlist change", id)
-			}
-		}
-	}
-}
-
 // naiveOnes counts the valid vectors on which words is 1, bit by bit.
 func naiveOnes(s *Simulator, words []uint64) int {
 	n := 0
@@ -226,8 +201,8 @@ func TestOnesCacheFollowsValueChanges(t *testing.T) {
 	in := nl.Inputs()[0]
 	s.SetInputWord(in, 1, ^s.Value(in)[1])
 	checkAll("input word")
-	s.ResimFrom(in)
-	checkAll("resim")
+	s.Run()
+	checkAll("run")
 	live := nl.TopoOrder()
 	for i := 0; i < 20; i++ {
 		x, y := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
@@ -267,5 +242,156 @@ func TestObservabilityResultsAreOwned(t *testing.T) {
 	}
 	if again := s.StemObservability(order[len(order)/2]); !slices.Equal(again, keep) {
 		t.Fatalf("repeated query differs: %x vs %x", again, keep)
+	}
+}
+
+// TestRunReportsChangedNodes: after any edit of the structure or the
+// inputs, Run must report exactly the live nodes whose words differ from
+// those before the edit, nodes that were not live then included; the
+// words must equal a fresh simulation of the same inputs, and every
+// cached count a fresh popcount.
+func TestRunReportsChangedNodes(t *testing.T) {
+	cells := []string{"inv", "nand2", "nor2", "and2", "or2", "xor2", "aoi21", "mux2"}
+	reported, checks := 0, 0
+	defer func() {
+		if reported < checks {
+			t.Errorf("%d checks saw only %d changed nodes; the edits change too little", checks, reported)
+		}
+	}()
+	for trial := 0; trial < 12; trial++ {
+		rng := rand.New(rand.NewSource(int64(4100 + trial)))
+		nl := randomNetlist(t, rng, 5+trial%3, 30)
+		words := 1 + trial%3
+		s := New(nl, words)
+		if trial%4 == 0 {
+			if err := s.SetInputsExhaustive(); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			s.SetInputsRandom(int64(trial), nil)
+		}
+		var before map[netlist.NodeID][]uint64
+		snapshot := func() {
+			before = make(map[netlist.NodeID][]uint64)
+			nl.LiveNodes(func(n *netlist.Node) {
+				before[n.ID()] = slices.Clone(s.Value(n.ID()))
+			})
+		}
+		check := func(step int, what string) {
+			t.Helper()
+			got := make(map[netlist.NodeID]bool)
+			changed := s.Resync()
+			reported, checks = reported+len(changed), checks+1
+			for _, id := range changed {
+				if got[id] {
+					t.Fatalf("trial %d step %d (%s): node %d reported twice", trial, step, what, id)
+				}
+				got[id] = true
+			}
+			fresh := New(nl, words)
+			if s.NumVectors() < words*64 {
+				if err := fresh.SetInputsExhaustive(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, in := range nl.Inputs() {
+				for w, word := range s.Value(in) {
+					fresh.SetInputWord(in, w, word)
+				}
+			}
+			fresh.Run()
+			nl.LiveNodes(func(n *netlist.Node) {
+				id := n.ID()
+				old, live := before[id]
+				if want := !live || !slices.Equal(old, s.Value(id)); got[id] != want {
+					t.Fatalf("trial %d step %d (%s): node %d reported %v, words changed %v",
+						trial, step, what, id, got[id], want)
+				}
+				if !slices.Equal(s.Value(id), fresh.Value(id)) {
+					t.Fatalf("trial %d step %d (%s): node %d holds %x, a fresh simulation %x",
+						trial, step, what, id, s.Value(id), fresh.Value(id))
+				}
+				if got, want := s.Ones(id), s.CountOnes(s.Value(id)); got != want {
+					t.Fatalf("trial %d step %d (%s): Ones(%d) = %d, popcount %d",
+						trial, step, what, id, got, want)
+				}
+				delete(got, id)
+			})
+			for id := range got {
+				t.Fatalf("trial %d step %d (%s): reported node %d is not live", trial, step, what, id)
+			}
+			snapshot()
+		}
+		randomLive := func() netlist.NodeID {
+			for {
+				if id := netlist.NodeID(rng.Intn(nl.NumNodes())); !nl.Node(id).Dead() {
+					return id
+				}
+			}
+		}
+		randomGate := func() netlist.NodeID {
+			for {
+				if id := randomLive(); nl.Node(id).Kind() == netlist.KindGate {
+					return id
+				}
+			}
+		}
+		edit := func() string {
+			switch rng.Intn(4) {
+			case 0:
+				cell := nl.Lib.Cell(cells[rng.Intn(len(cells))])
+				fanins := make([]netlist.NodeID, cell.NumPins())
+				for p := range fanins {
+					fanins[p] = randomLive()
+				}
+				if _, err := nl.AddGate("", cell, fanins); err != nil {
+					t.Fatal(err)
+				}
+				return "add-gate"
+			case 1:
+				g := randomGate()
+				_ = nl.ReplaceFanin(g, rng.Intn(len(nl.Node(g).Fanins())), randomLive())
+				return "replace-fanin"
+			case 2:
+				nl.SweepDead()
+				return "sweep"
+			default:
+				in := nl.Inputs()[rng.Intn(len(nl.Inputs()))]
+				s.SetInputWord(in, rng.Intn(words), rng.Uint64())
+				return "input-word"
+			}
+		}
+		s.Run()
+		snapshot()
+		check(0, "no edit")
+		for step := 1; step <= 40; step++ {
+			switch rng.Intn(6) {
+			case 0:
+				// Edits inside a transaction, checked, then rolled back:
+				// swept gates revive and added gates' IDs are reused.
+				txn := nl.Begin()
+				for i := 0; i < 1+rng.Intn(3); i++ {
+					edit()
+				}
+				check(step, "txn")
+				txn.Rollback()
+				check(step, "rollback")
+			case 1:
+				// Re-seed the inputs, biased or exhaustive at times: the
+				// valid vector count moves with the latter.
+				var probs []float64
+				if rng.Intn(2) == 0 {
+					for range nl.Inputs() {
+						probs = append(probs, []float64{0.1, 0.5, 0.9}[rng.Intn(3)])
+					}
+				}
+				if rng.Intn(4) > 0 || s.SetInputsExhaustive() != nil {
+					s.SetInputsRandom(int64(rng.Intn(3)), probs)
+				}
+				check(step, "reseed")
+			default:
+				check(step, edit())
+			}
+		}
 	}
 }

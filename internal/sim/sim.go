@@ -54,11 +54,26 @@ type Simulator struct {
 	obsGen     uint64
 	obsVersion int64
 
-	// ones caches Ones per node: ones[id] is valid while onesGen[id] ==
-	// gen, and gen advances whenever any value word may have changed.
-	ones    []int
-	onesGen []uint64
-	gen     uint64
+	// ones caches Ones per node: ones[id] counts the stored words of id
+	// while onesOK[id] is set, which only a change of those words (or of
+	// the valid vector count) clears. gen advances with every change of
+	// any stored word.
+	ones   []int
+	onesOK []bool
+	gen    uint64
+
+	// run numbers the Runs; simRun[id] == run marks the nodes the latest
+	// Run simulated. changed lists the nodes whose words changed since
+	// then, marked by changedAt[id] == run+1; Run hands the list over as
+	// handed and starts the next one in the other buffer.
+	run       uint64
+	simRun    []uint64
+	changed   []netlist.NodeID
+	handed    []netlist.NodeID
+	changedAt []uint64
+	// evalBuf receives a gate's freshly evaluated words before Run
+	// compares them with the stored ones.
+	evalBuf []uint64
 
 	// tfoSeen[id] == tfoMark marks the nodes collectTFO has reached;
 	// tfoStack is its reused work list.
@@ -74,7 +89,7 @@ func New(nl *netlist.Netlist, words int) *Simulator {
 	if words <= 0 {
 		panic("sim: words must be positive")
 	}
-	s := &Simulator{nl: nl, words: words, nvec: words * 64, gen: 1}
+	s := &Simulator{nl: nl, words: words, nvec: words * 64, gen: 1, run: 1}
 	s.refreshTopo()
 	s.grow()
 	for _, id := range s.order {
@@ -94,7 +109,9 @@ func (s *Simulator) grow() {
 	s.scratch = append(s.scratch, make([][]uint64, add)...)
 	s.scratchID = append(s.scratchID, make([]int64, add)...)
 	s.ones = append(s.ones, make([]int, add)...)
-	s.onesGen = append(s.onesGen, make([]uint64, add)...)
+	s.onesOK = append(s.onesOK, make([]bool, add)...)
+	s.simRun = append(s.simRun, make([]uint64, add)...)
+	s.changedAt = append(s.changedAt, make([]uint64, add)...)
 	s.tfoSeen = append(s.tfoSeen, make([]uint64, add)...)
 	s.obsStamp = append(s.obsStamp, make([]uint64, add)...)
 }
@@ -115,19 +132,10 @@ func (s *Simulator) refreshTopo() {
 	s.version = s.nl.Version()
 }
 
-// Resync must be called after the netlist was structurally modified; it
-// refreshes the topological order and fully resimulates. New nodes get
-// value storage; input words of existing inputs are preserved.
-func (s *Simulator) Resync() {
-	s.grow()
-	s.refreshTopo()
-	for _, id := range s.order {
-		if s.values[id] == nil {
-			s.values[id] = make([]uint64, s.words)
-		}
-	}
-	s.Run()
-}
+// Resync resimulates after the netlist was structurally modified and
+// returns what Run returns. New nodes get value storage; input words of
+// existing inputs are preserved.
+func (s *Simulator) Resync() []netlist.NodeID { return s.Run() }
 
 // SetInputsRandom fills the input words with independent random bits.
 // probs gives the signal probability per primary input (in input order);
@@ -138,14 +146,13 @@ func (s *Simulator) SetInputsRandom(seed int64, probs []float64) {
 	if probs != nil && len(probs) != len(ins) {
 		panic(fmt.Sprintf("sim: %d probabilities for %d inputs", len(probs), len(ins)))
 	}
-	s.nvec = s.words * 64
-	s.gen++
+	s.setNumVectors(s.words * 64)
+	v := s.scratchWords()
 	for i, id := range ins {
 		p := 0.5
 		if probs != nil {
 			p = probs[i]
 		}
-		v := s.values[id]
 		for w := range v {
 			if p == 0.5 {
 				v[w] = rng.Uint64()
@@ -159,6 +166,7 @@ func (s *Simulator) SetInputsRandom(seed int64, probs []float64) {
 			}
 			v[w] = word
 		}
+		s.store(id, v)
 	}
 }
 
@@ -169,8 +177,10 @@ func (s *Simulator) SetInputWord(id netlist.NodeID, w int, bits uint64) {
 	if n.Kind() != netlist.KindInput {
 		panic(fmt.Sprintf("sim: SetInputWord on non-input %s", n.Name()))
 	}
-	s.gen++
-	s.values[id][w] = bits
+	if v := s.stored(id); v[w] != bits {
+		v[w] = bits
+		s.markChanged(id)
+	}
 }
 
 // SetInputsExhaustive enumerates all 2^n input minterms (n = number of
@@ -188,10 +198,9 @@ func (s *Simulator) SetInputsExhaustive() error {
 		return fmt.Errorf("sim: exhaustive simulation of %d inputs needs %d vectors, have %d",
 			n, need, s.words*64)
 	}
-	s.nvec = need
-	s.gen++
+	s.setNumVectors(need)
+	v := s.scratchWords()
 	for i, id := range ins {
-		v := s.values[id]
 		for w := range v {
 			var word uint64
 			for b := 0; b < 64; b++ {
@@ -202,6 +211,7 @@ func (s *Simulator) SetInputsExhaustive() error {
 			}
 			v[w] = word
 		}
+		s.store(id, v)
 	}
 	// Vectors beyond 'need' replicate vector 0 (all-zero inputs); ValidMask
 	// excludes them from all counts.
@@ -225,24 +235,92 @@ func (s *Simulator) ValidMask(w int) uint64 {
 	}
 }
 
-// Run simulates the whole netlist in topological order.
-func (s *Simulator) Run() {
+// Run simulates the whole netlist in topological order, after any edit
+// of its structure or inputs. It returns the live nodes whose stored
+// words changed since the previous Run: inputs set since then, gates
+// whose freshly evaluated words differ from their stored ones, and every
+// node the previous Run did not simulate (new or revived). A gate's
+// words are rewritten only when they differ, so Ones and the other
+// per-node caches survive wherever nothing changed. The slice belongs to
+// the simulator and is valid until the next Run.
+func (s *Simulator) Run() []netlist.NodeID {
 	if s.version != s.nl.Version() {
 		s.refreshTopo()
 	}
-	s.gen++
+	s.grow()
+	buf := s.scratchWords()
 	var in [6][]uint64
 	for _, id := range s.order {
+		fresh := s.simRun[id] != s.run
+		s.simRun[id] = s.run + 1
+		v := s.stored(id)
 		n := s.nl.Node(id)
 		if n.Kind() != netlist.KindGate {
+			if fresh {
+				s.markChanged(id)
+			}
 			continue
 		}
 		fanins := n.Fanins()
 		for pin, f := range fanins {
 			in[pin] = s.values[f]
 		}
-		s.evalGate(n, in[:len(fanins)], s.values[id])
+		s.evalGate(n, in[:len(fanins)], buf)
+		if fresh || !slices.Equal(buf, v) {
+			copy(v, buf)
+			s.markChanged(id)
+		}
 	}
+	s.run++
+	s.handed, s.changed = s.changed, s.handed[:0]
+	return s.handed
+}
+
+// stored returns the node's value storage, allocating it for a node the
+// simulator has not held words for.
+func (s *Simulator) stored(id netlist.NodeID) []uint64 {
+	if int(id) >= len(s.values) {
+		s.grow()
+	}
+	if s.values[id] == nil {
+		s.values[id] = make([]uint64, s.words)
+	}
+	return s.values[id]
+}
+
+// store sets an input's words, recording the input when they change.
+func (s *Simulator) store(id netlist.NodeID, words []uint64) {
+	if v := s.stored(id); !slices.Equal(v, words) {
+		copy(v, words)
+		s.markChanged(id)
+	}
+}
+
+// markChanged records that the stored words of id changed.
+func (s *Simulator) markChanged(id netlist.NodeID) {
+	s.gen++
+	s.onesOK[id] = false
+	if s.changedAt[id] != s.run+1 {
+		s.changedAt[id] = s.run + 1
+		s.changed = append(s.changed, id)
+	}
+}
+
+// setNumVectors sets the valid vector count; every cached count follows
+// it.
+func (s *Simulator) setNumVectors(n int) {
+	if s.nvec != n {
+		s.nvec = n
+		s.gen++
+		clear(s.onesOK)
+	}
+}
+
+// scratchWords returns the reused one-signal buffer of Run and the input
+// setters.
+func (s *Simulator) scratchWords() []uint64 {
+	s.evalBuf = growWords(s.evalBuf, s.words)
+	return s.evalBuf
 }
 
 // evalGate evaluates the gate's compiled cell function from the given
@@ -266,14 +344,15 @@ func (s *Simulator) Value(id netlist.NodeID) []uint64 {
 }
 
 // Ones returns the number of valid sample vectors on which the signal is
-// 1. Counts are cached until the next change to the simulated values, so
-// repeated queries cost no popcount.
+// 1. Each node's count is cached until that node's words change, so
+// repeated queries cost no popcount, and neither does a query after a
+// Run that left the node's words as they were.
 func (s *Simulator) Ones(id netlist.NodeID) int {
-	if s.onesGen[id] == s.gen {
+	if s.onesOK[id] {
 		return s.ones[id]
 	}
 	n := s.CountOnes(s.Value(id))
-	s.ones[id], s.onesGen[id] = n, s.gen
+	s.ones[id], s.onesOK[id] = n, true
 	return n
 }
 
@@ -302,34 +381,6 @@ func (s *Simulator) CountOnesAnd(x, y []uint64) int {
 		n += bits.OnesCount64(x[w] & y[w])
 	}
 	return n
-}
-
-// ResimFrom recomputes the values of the given gates and everything in
-// their transitive fanout, in topological order. Call it after local
-// netlist edits when the rest of the circuit is unchanged and the netlist
-// version was not structurally invalidated (otherwise use Resync).
-func (s *Simulator) ResimFrom(roots ...netlist.NodeID) {
-	if s.version != s.nl.Version() {
-		s.refreshTopo()
-		s.version = s.nl.Version()
-	}
-	s.gen++
-	affected := s.collectTFO(nil, roots...)
-	var in [6][]uint64
-	for _, id := range affected {
-		n := s.nl.Node(id)
-		if n.Kind() != netlist.KindGate {
-			continue
-		}
-		if s.values[id] == nil {
-			s.values[id] = make([]uint64, s.words)
-		}
-		fanins := n.Fanins()
-		for pin, f := range fanins {
-			in[pin] = s.values[f]
-		}
-		s.evalGate(n, in[:len(fanins)], s.values[id])
-	}
 }
 
 // collectTFO returns roots plus their transitive fanout, sorted by

@@ -126,31 +126,6 @@ func TestDeterministicSeed(t *testing.T) {
 	}
 }
 
-func TestResimFromMatchesFullRun(t *testing.T) {
-	nl, ids := fig2(t)
-	s := New(nl, 8)
-	s.SetInputsRandom(3, nil)
-	s.Run()
-
-	// Rewire d's pin 0 from a to e (the paper's Figure 2 move) and resim
-	// incrementally; compare against a full run.
-	if err := nl.ReplaceFanin(ids["d"], 0, ids["e"]); err != nil {
-		t.Fatal(err)
-	}
-	s.ResimFrom(ids["d"])
-	incremental := append([]uint64(nil), s.Value(ids["f"])...)
-
-	s2 := New(nl, 8)
-	s2.SetInputsRandom(3, nil)
-	s2.Run()
-	full := s2.Value(ids["f"])
-	for w := range full {
-		if incremental[w] != full[w] {
-			t.Fatalf("incremental resim diverges at word %d", w)
-		}
-	}
-}
-
 func TestHypotheticalDoesNotMutate(t *testing.T) {
 	nl, ids := fig2(t)
 	s := New(nl, 4)
