@@ -148,7 +148,7 @@ func (m *Model) PerNode(buf []float64) []float64 {
 // simulated words changed, as sim.Simulator.Run does: a node's E can
 // only have moved if it is among them.
 func (m *Model) Resync() []netlist.NodeID {
-	changed := m.s.Resync()
+	changed := m.s.Run()
 	m.Reestimate()
 	return changed
 }

@@ -117,7 +117,7 @@ func TestObsTableFollowsChanges(t *testing.T) {
 		}
 		break
 	}
-	s.Resync()
+	s.Run()
 	checkObsTable(t, s, rng)
 }
 

@@ -280,7 +280,7 @@ func TestRunReportsChangedNodes(t *testing.T) {
 		check := func(step int, what string) {
 			t.Helper()
 			got := make(map[netlist.NodeID]bool)
-			changed := s.Resync()
+			changed := s.Run()
 			reported, checks = reported+len(changed), checks+1
 			for _, id := range changed {
 				if got[id] {

@@ -132,11 +132,6 @@ func (s *Simulator) refreshTopo() {
 	s.version = s.nl.Version()
 }
 
-// Resync resimulates after the netlist was structurally modified and
-// returns what Run returns. New nodes get value storage; input words of
-// existing inputs are preserved.
-func (s *Simulator) Resync() []netlist.NodeID { return s.Run() }
-
 // SetInputsRandom fills the input words with independent random bits.
 // probs gives the signal probability per primary input (in input order);
 // nil means 0.5 everywhere. The generator is deterministic in seed.
@@ -383,19 +378,14 @@ func (s *Simulator) CountOnesAnd(x, y []uint64) int {
 	return n
 }
 
-// collectTFO returns roots plus their transitive fanout, sorted by
+// collectTFO returns root plus its transitive fanout, sorted by
 // topological position, in buf's storage when it is large enough.
-func (s *Simulator) collectTFO(buf []netlist.NodeID, roots ...netlist.NodeID) []netlist.NodeID {
+func (s *Simulator) collectTFO(buf []netlist.NodeID, root netlist.NodeID) []netlist.NodeID {
 	s.grow()
 	s.tfoMark++
 	out := buf[:0]
-	stack := s.tfoStack[:0]
-	for _, r := range roots {
-		if s.tfoSeen[r] != s.tfoMark {
-			s.tfoSeen[r] = s.tfoMark
-			stack = append(stack, r)
-		}
-	}
+	s.tfoSeen[root] = s.tfoMark
+	stack := append(s.tfoStack[:0], root)
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -235,7 +235,7 @@ func TestResyncAfterStructuralChange(t *testing.T) {
 	if err := nl.AddOutput("g", g); err != nil {
 		t.Fatal(err)
 	}
-	s.Resync()
+	s.Run()
 	e, f, gv := s.Value(ids["e"]), s.Value(ids["f"]), s.Value(g)
 	for w := range gv {
 		if gv[w] != ^(e[w] | f[w]) {
