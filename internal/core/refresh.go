@@ -104,6 +104,7 @@ func (rf *refresher) begin() {
 	}
 }
 
+// mark adds ids to the changed set.
 func (rf *refresher) mark(ids []netlist.NodeID) {
 	for _, id := range ids {
 		rf.changed[id] = rf.epoch
