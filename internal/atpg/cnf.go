@@ -14,6 +14,8 @@
 package atpg
 
 import (
+	"sync"
+
 	"powder/internal/logic"
 	"powder/internal/netlist"
 	"powder/internal/sat"
@@ -62,21 +64,64 @@ func (b *cnfBuilder) nodeVar(id netlist.NodeID) int {
 }
 
 // encodeCellClauses emits CNF clauses asserting out == f(ins) for the
-// 6-or-fewer-variable truth table f. Onset and offset minterms are first
-// compressed with the cube minimizer, so simple gates get their familiar
-// compact encodings (an AND2 yields 3 clauses, not 4).
+// 6-or-fewer-variable truth table f, from the table's clause template.
 func encodeCellClauses(s sat.ClauseAdder, tt logic.TT, ins []int, out int) {
+	var buf [1 + maxCellInputs]sat.Lit
+	for _, c := range cellTemplate(tt) {
+		lits := append(buf[:0], sat.Neg(out))
+		if c.onset {
+			lits[0] = sat.Pos(out)
+		}
+		for i := 0; i < tt.N; i++ {
+			bit := uint8(1) << uint(i)
+			switch {
+			case c.mask&bit == 0:
+			case c.val&bit != 0:
+				lits = append(lits, sat.Neg(ins[i]))
+			default:
+				lits = append(lits, sat.Pos(ins[i]))
+			}
+		}
+		s.AddClause(lits...)
+	}
+}
+
+// maxCellInputs is the most inputs a library cell has.
+const maxCellInputs = 6
+
+// cellClause is one clause of a truth table's CNF template: out (onset
+// cube) or !out (offset cube), then for every input in the cube the
+// literal opposite to its value in the cube.
+type cellClause struct {
+	onset     bool
+	mask, val uint8
+}
+
+// cellTemplates maps each logic.TT encoded so far to its []cellClause;
+// the tables of a run are those of its library's cells and of the 2-input
+// gates the 3-signal substitutions insert. Region workers encode
+// concurrently.
+var cellTemplates sync.Map
+
+// cellTemplate returns the clause template of tt, compiling it once.
+func cellTemplate(tt logic.TT) []cellClause {
+	if t, ok := cellTemplates.Load(tt); ok {
+		return t.([]cellClause)
+	}
+	t, _ := cellTemplates.LoadOrStore(tt, compileCellTemplate(tt))
+	return t.([]cellClause)
+}
+
+// compileCellTemplate compresses the onset and offset minterms of tt with
+// the cube minimizer, so simple gates get their familiar compact
+// encodings (an AND2 yields 3 clauses, not 4): the onset cubes' clauses
+// first, then the offset cubes'.
+func compileCellTemplate(tt logic.TT) []cellClause {
 	n := tt.N
 	onset := logic.NewSOP(n)
 	offset := logic.NewSOP(n)
 	for m := uint(0); m < 1<<uint(n); m++ {
-		var c logic.Cube
-		for i := 0; i < n; i++ {
-			c.Mask |= 1 << uint(i)
-			if m>>uint(i)&1 == 1 {
-				c.Val |= 1 << uint(i)
-			}
-		}
+		c := logic.Cube{Mask: 1<<uint(n) - 1, Val: uint64(m)}
 		if tt.Eval(m) {
 			onset.Add(c)
 		} else {
@@ -85,34 +130,14 @@ func encodeCellClauses(s sat.ClauseAdder, tt logic.TT, ins []int, out int) {
 	}
 	onset.Minimize()
 	offset.Minimize()
-	// Onset cube c: (inputs match c) -> out, i.e. clause (out OR any input
-	// literal opposite to c).
+	t := make([]cellClause, 0, len(onset.Cubes)+len(offset.Cubes))
 	for _, c := range onset.Cubes {
-		lits := []sat.Lit{sat.Pos(out)}
-		lits = appendCubeOpposite(lits, c, n, ins)
-		s.AddClause(lits...)
+		t = append(t, cellClause{onset: true, mask: uint8(c.Mask), val: uint8(c.Val)})
 	}
-	// Offset cube c: (inputs match c) -> !out.
 	for _, c := range offset.Cubes {
-		lits := []sat.Lit{sat.Neg(out)}
-		lits = appendCubeOpposite(lits, c, n, ins)
-		s.AddClause(lits...)
+		t = append(t, cellClause{mask: uint8(c.Mask), val: uint8(c.Val)})
 	}
-}
-
-func appendCubeOpposite(lits []sat.Lit, c logic.Cube, n int, ins []int) []sat.Lit {
-	for i := 0; i < n; i++ {
-		bit := uint64(1) << uint(i)
-		if c.Mask&bit == 0 {
-			continue
-		}
-		if c.Val&bit != 0 {
-			lits = append(lits, sat.Neg(ins[i]))
-		} else {
-			lits = append(lits, sat.Pos(ins[i]))
-		}
-	}
-	return lits
+	return t
 }
 
 // xorVar returns a fresh variable constrained to a XOR b.

@@ -439,6 +439,9 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 			an.AnalyzeAB(s)
 		}
 	})
+	if refreshCheck != nil {
+		refreshCheck(replica, an, nil, cands)
+	}
 
 	// timing is the replica's delay analysis, rebuilt on demand after
 	// each replica apply.
@@ -450,29 +453,24 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		endCandidate(sp, reason)
 	}
 
-	var valid []int
+	stale := func() {
+		rep.rejects[RejectStale]++
+		r.led.CountReject(RejectStale)
+	}
 	for repeat := opts.Repeat; repeat > 0 && len(cands) > 0 && ctx.Err() == nil; {
-		// Pre-selection: the best PG_A+PG_B candidates (cheap) that are
-		// still valid, then PG_C reestimation only for those (paper
-		// Section 3.5).
+		// Pre-selection: the best PG_A+PG_B candidates (cheap), then PG_C
+		// reestimation only for those (paper Section 3.5). Every pooled
+		// candidate is valid: the harvest emits only valid ones, and the
+		// refresh after each apply or rollback keeps exactly those.
 		k := opts.PreselectK
 		if opts.DisablePreselect || k > len(cands) {
 			k = len(cands)
 		}
-		phase(wctx, "preselect", func() {
-			partialSelectByGainAB(cands, k)
-			valid = valid[:0]
-			for i, s := range cands[:k] {
-				if candidateValid(replica, s) {
-					valid = append(valid, i)
-				}
-			}
-		})
+		phase(wctx, "preselect", func() { partialSelectByGainAB(cands, k) })
 		var best *transform.Substitution
 		bestIdx := -1
 		phase(wctx, "pgc-reestimate", func() {
-			for _, i := range valid {
-				s := cands[i]
+			for i, s := range cands[:k] {
 				an.AnalyzeC(s)
 				if best == nil || s.Gain() > best.Gain() {
 					best, bestIdx = s, i
@@ -511,12 +509,12 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		pre, rewired := preApplyTouched(replica, best)
 		txn := replica.Begin()
 		_, aSpan := trace.StartSpan(cctx, "apply")
-		applyRes, applyErr := transform.ApplySafe(replica, best)
+		applyRes, applyErr := applyReplica(replica, best)
 		aSpan.End()
 		if applyErr != nil {
 			txn.Rollback()
-			rf.full = true
 			reject(cSpan, RejectApplyConflict, best, proof)
+			phase(wctx, "ab-analysis", func() { cands = rf.rolledBack(an, cands, stale) })
 			continue
 		}
 		txn.Commit()
@@ -541,10 +539,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		// keeps the pre-selection meaningful within the repeat window
 		// without a full re-harvest.
 		phase(wctx, "ab-analysis", func() {
-			cands = rf.refresh(an, cands, pre, rewired, applyRes, changed, func() {
-				rep.rejects[RejectStale]++
-				r.led.CountReject(RejectStale)
-			})
+			cands = rf.refresh(an, cands, pre, rewired, applyRes, changed, stale)
 		})
 	}
 	wSpan.SetAttr("proposals", len(rep.proposals))

@@ -7,9 +7,10 @@ import (
 
 // refresher re-validates and re-analyzes, after each replica apply, only
 // the candidates the apply can have changed (DESIGN.md §5, "Refresh at the
-// cost of what changed"). Every candidate it is given was valid, with
-// current GainAB and AreaDelta, before the apply. It keeps node-indexed
-// stamps only, nothing per candidate, and is not safe for concurrent use.
+// cost of what changed"), and all of them after a rolled-back apply.
+// Every candidate it is given was valid, with current GainAB and
+// AreaDelta, before the apply. It keeps node-indexed stamps only, nothing
+// per candidate, and is not safe for concurrent use.
 type refresher struct {
 	nl *netlist.Netlist
 	// cones answers the keep-free dead-cone walks of the targets.
@@ -24,21 +25,23 @@ type refresher struct {
 	coneAt  []uint32
 	dirty   []bool
 	stack   []netlist.NodeID
-	// full makes the next refresh treat every candidate as touched: a
-	// rolled-back apply restores the structure but not the order of its
-	// fanout lists, so sums over them may round differently.
-	full bool
 }
 
 func newRefresher(nl *netlist.Netlist) *refresher {
 	return &refresher{nl: nl, cones: netlist.NewDeadCones(nl)}
 }
 
-// refreshCheck, when set, is called after every refresh with the
-// candidates before it and the ones it kept; the exactness test sets it
-// to run the full refresh beside the incremental one. It is called from
-// every region worker, so it must be safe for concurrent use.
+// refreshCheck, when set, is called with every pool that enters a
+// preselect: after every refresh with the candidates before it and the
+// ones it kept, and after each harvest's analysis with before nil and
+// the harvested pool. The exactness tests set it to run the full refresh
+// beside the incremental one. It is called from every region worker, so
+// it must be safe for concurrent use.
 var refreshCheck func(nl *netlist.Netlist, an *transform.Analyzer, before, kept []*transform.Substitution)
+
+// applyReplica applies a substitution on a region worker's replica; the
+// rollback test swaps it for one that fails.
+var applyReplica = transform.ApplySafe
 
 // refresh drops the candidates the apply of a substitution invalidated
 // and re-analyzes PG_A+PG_B where the apply may have moved it, counting
@@ -56,20 +59,33 @@ var refreshCheck func(nl *netlist.Netlist, an *transform.Analyzer, before, kept 
 // before.
 func (rf *refresher) refresh(an *transform.Analyzer, cands []*transform.Substitution, pre []netlist.NodeID, rewired int,
 	res *transform.ApplyResult, changed []netlist.NodeID, stale func()) []*transform.Substitution {
-	var before []*transform.Substitution
-	if refreshCheck != nil {
-		before = append(before, cands...)
-	}
 	rf.begin()
 	rf.mark(pre)
 	rf.mark(postApplyTouched(rf.nl, res))
 	rf.mark(changed)
 	rf.markTFO(pre[rewired:])
-	full := rf.full
-	rf.full = false
+	return rf.filter(an, cands, false, stale)
+}
+
+// rolledBack re-validates and re-analyzes every candidate after a
+// rolled-back apply: the journal restores the structure but not the
+// order of its fanout lists, over which loads are summed, so sums may
+// round differently.
+func (rf *refresher) rolledBack(an *transform.Analyzer, cands []*transform.Substitution, stale func()) []*transform.Substitution {
+	return rf.filter(an, cands, true, stale)
+}
+
+// filter drops the invalid candidates and re-analyzes the ones the
+// current refresh's stamps, or all when all is set, say may have moved.
+func (rf *refresher) filter(an *transform.Analyzer, cands []*transform.Substitution, all bool, stale func()) []*transform.Substitution {
+	var before []*transform.Substitution
+	if refreshCheck != nil {
+		// Non-nil even when empty: nil marks a harvested pool.
+		before = append(make([]*transform.Substitution, 0, len(cands)), cands...)
+	}
 	kept := cands[:0]
 	for _, s := range cands {
-		touched := full || rf.endpointChanged(s)
+		touched := all || rf.endpointChanged(s)
 		if (touched || rf.sourceInTFO(s)) && !candidateValid(rf.nl, s) {
 			stale()
 			continue

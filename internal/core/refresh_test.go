@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -65,19 +66,19 @@ func vcdActivity(t *testing.T, nl *netlist.Netlist) (probs, toggles []float64) {
 	return b.Probs, b.Toggles
 }
 
-// TestIncrementalRefreshIsExact runs the full reference refresh beside the
-// incremental one after every replica apply: a candidate whose validity
-// check was skipped must be valid, and every kept candidate's GainAB and
-// AreaDelta must equal a fresh AnalyzeAB bit for bit.
-func TestIncrementalRefreshIsExact(t *testing.T) {
-	var refreshes, checked, failures atomic.Int64
-	fail := func(format string, args ...any) {
-		if failures.Add(1) <= 10 {
-			t.Errorf(format, args...)
+// exactRefresh returns a refreshCheck hook that runs the full reference
+// refresh beside every refresh, and beside every harvest as if the
+// harvested pool were refreshed: each kept candidate, the next
+// preselect's pool, must be valid, and must be one the full refresh
+// keeps, with GainAB and AreaDelta equal to a fresh AnalyzeAB bit for
+// bit. It counts the refreshes, not the harvests, in refreshes.
+func exactRefresh(refreshes, checked *atomic.Int64, fail func(format string, args ...any)) func(*netlist.Netlist, *transform.Analyzer, []*transform.Substitution, []*transform.Substitution) {
+	return func(nl *netlist.Netlist, an *transform.Analyzer, before, kept []*transform.Substitution) {
+		if before == nil {
+			before = kept // a harvested pool
+		} else {
+			refreshes.Add(1)
 		}
-	}
-	refreshCheck = func(nl *netlist.Netlist, an *transform.Analyzer, before, kept []*transform.Substitution) {
-		refreshes.Add(1)
 		checked.Add(int64(len(before)))
 		want, fresh := referenceRefresh(nl, an, before)
 		for _, s := range kept {
@@ -101,6 +102,20 @@ func TestIncrementalRefreshIsExact(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIncrementalRefreshIsExact runs the full reference refresh beside the
+// incremental one after every replica apply, and beside every harvest:
+// every candidate entering a preselect must be valid, and its GainAB and
+// AreaDelta must equal a fresh AnalyzeAB bit for bit.
+func TestIncrementalRefreshIsExact(t *testing.T) {
+	var refreshes, checked, failures atomic.Int64
+	fail := func(format string, args ...any) {
+		if failures.Add(1) <= 10 {
+			t.Errorf(format, args...)
+		}
+	}
+	refreshCheck = exactRefresh(&refreshes, &checked, fail)
 	defer func() { refreshCheck = nil }()
 
 	names := []string{"comp", "clip", "apex1", "x3", "ex4", "rd84", "t481", "misex3", "C432", "spla"}
@@ -142,5 +157,75 @@ func TestIncrementalRefreshIsExact(t *testing.T) {
 	t.Logf("%d refreshes of %d candidates checked", refreshes.Load(), checked.Load())
 	if refreshes.Load() < 50 {
 		t.Errorf("only %d refreshes ran; the runs apply too little to test the refresh", refreshes.Load())
+	}
+}
+
+// TestRolledBackApplyRefreshes makes every other replica apply, from the
+// first, fail after its edits, so that the journal rolls them back. A
+// refresh must follow each rollback before anything else happens on the
+// replica, and the full reference refresh beside it checks that the
+// candidates entering the next preselect are exactly the valid ones,
+// freshly analyzed.
+func TestRolledBackApplyRefreshes(t *testing.T) {
+	var (
+		mu         sync.Mutex
+		applies    int
+		rolledBack = map[*netlist.Netlist]bool{}
+		rollbacks  int
+		refreshed  int
+	)
+	applyReplica = func(nl *netlist.Netlist, s *transform.Substitution) (*transform.ApplyResult, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if rolledBack[nl] {
+			t.Errorf("%s: an apply followed a rollback without a refresh", nl.Name)
+		}
+		res, err := transform.ApplySafe(nl, s)
+		if applies++; err == nil && applies%2 == 1 {
+			rolledBack[nl] = true
+			rollbacks++
+			return nil, fmt.Errorf("injected failure after applying %v", s)
+		}
+		return res, err
+	}
+	defer func() { applyReplica = transform.ApplySafe }()
+	var refreshes, checked, failures atomic.Int64
+	fail := func(format string, args ...any) {
+		if failures.Add(1) <= 10 {
+			t.Errorf(format, args...)
+		}
+	}
+	exact := exactRefresh(&refreshes, &checked, fail)
+	refreshCheck = func(nl *netlist.Netlist, an *transform.Analyzer, before, kept []*transform.Substitution) {
+		mu.Lock()
+		if rolledBack[nl] {
+			delete(rolledBack, nl)
+			refreshed++
+		}
+		mu.Unlock()
+		exact(nl, an, before, kept)
+	}
+	defer func() { refreshCheck = nil }()
+
+	for _, name := range []string{"comp", "clip", "rd84"} {
+		base := compileBenchmark(t, name)
+		for _, par := range []int{1, 2} {
+			applies = 0
+			res, err := Optimize(base.Clone(), Options{
+				Parallelism:      par,
+				MaxSubstitutions: 6,
+				Transform:        transform.Config{AllowInverted: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rejects[RejectApplyConflict] == 0 {
+				t.Errorf("%s -par %d: no apply was rolled back", name, par)
+			}
+		}
+	}
+	t.Logf("%d rollbacks, %d refreshes of %d candidates checked", rollbacks, refreshes.Load(), checked.Load())
+	if refreshed != rollbacks {
+		t.Errorf("%d of %d rollbacks were followed by a refresh", refreshed, rollbacks)
 	}
 }

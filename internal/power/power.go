@@ -11,7 +11,7 @@
 // The Model caches the transition probability of every signal, exactly as
 // POWDER stores them during the initial estimation. After an edit, Resync
 // re-simulates (the simulator rewrites only the words that change) and
-// re-derives the cache, whose entries move only where words changed.
+// re-derives the cache entries of the nodes whose words changed.
 package power
 
 import (
@@ -35,6 +35,8 @@ type Model struct {
 	// internal stems keep the propagated model. nil when nothing is
 	// pinned.
 	pinned []float64
+	// nvec is the simulator's valid vector count e was derived under.
+	nvec int
 }
 
 // New builds a power model over a simulator that has already been run.
@@ -50,14 +52,23 @@ func (m *Model) Sim() *sim.Simulator { return m.s }
 // Reestimate recomputes every cached transition probability from the
 // current simulation values (the paper's initial power_estimate step).
 func (m *Model) Reestimate() {
-	if len(m.e) < m.nl.NumNodes() {
-		e := make([]float64, m.nl.NumNodes())
-		copy(e, m.e)
-		m.e = e
-	}
+	m.grow()
+	m.nvec = m.s.NumVectors()
 	m.nl.LiveNodes(func(n *netlist.Node) {
-		m.e[n.ID()] = m.applyPin(n.ID(), transition(m.s.Probability(n.ID())))
+		m.update(n.ID())
 	})
+}
+
+// grow extends e to the netlist's node count.
+func (m *Model) grow() {
+	if n := m.nl.NumNodes(); len(m.e) < n {
+		m.e = append(m.e, make([]float64, n-len(m.e))...)
+	}
+}
+
+// update re-derives the cached transition probability of one node.
+func (m *Model) update(id netlist.NodeID) {
+	m.e[id] = m.applyPin(id, transition(m.s.Probability(id)))
 }
 
 // PinInputs pins the transition density of each primary input to the
@@ -78,7 +89,7 @@ func (m *Model) PinInputs(toggles []float64) {
 		m.pinned[id] = toggles[i]
 	}
 	for _, id := range ins {
-		m.e[id] = m.applyPin(id, m.e[id])
+		m.update(id)
 	}
 }
 
@@ -144,12 +155,22 @@ func (m *Model) PerNode(buf []float64) []float64 {
 
 // Resync re-simulates after the netlist was edited (the paper's
 // power_estimate_update after a performed substitution) and re-derives
-// every cached transition probability. It returns the nodes whose
-// simulated words changed, as sim.Simulator.Run does: a node's E can
-// only have moved if it is among them.
+// the cached transition probabilities that can have moved. It returns
+// the nodes whose simulated words changed, as sim.Simulator.Run does: a
+// node's E is re-derived only if it is among them, or everywhere when
+// the valid vector count changed, which moves every probability.
 func (m *Model) Resync() []netlist.NodeID {
 	changed := m.s.Run()
-	m.Reestimate()
+	if m.s.NumVectors() != m.nvec {
+		m.Reestimate()
+		return changed
+	}
+	m.grow()
+	for _, id := range changed {
+		if !m.nl.Node(id).Dead() {
+			m.update(id)
+		}
+	}
 	return changed
 }
 

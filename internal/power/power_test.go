@@ -1,7 +1,10 @@
 package power
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"powder/internal/cellib"
@@ -270,4 +273,139 @@ func TestEstimateInputTogglesOption(t *testing.T) {
 		}
 	}()
 	m.PinInputs([]float64{0.5})
+}
+
+// TestResyncMatchesReestimate pins that Resync, which re-derives E only on
+// the nodes the simulation reports as changed, leaves every live node's E
+// bit for bit where a full Reestimate puts it: after random edits, edits
+// rolled back, re-pinned inputs, re-seeded vectors and a valid vector
+// count that moves under unchanged words.
+func TestResyncMatchesReestimate(t *testing.T) {
+	cells := []string{"inv", "nand2", "nor2", "and2", "or2", "xor2", "aoi21", "mux2"}
+	updated := 0
+	for trial := 0; trial < 8; trial++ {
+		rng := rand.New(rand.NewSource(int64(700 + trial)))
+		lib := cellib.Lib2()
+		nl := netlist.New("rand", lib)
+		var pool []netlist.NodeID
+		for i := 0; i < 6; i++ {
+			id, err := nl.AddInput(fmt.Sprintf("i%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool = append(pool, id)
+		}
+		for i := 0; i < 25; i++ {
+			cell := lib.Cell(cells[rng.Intn(len(cells))])
+			fanins := make([]netlist.NodeID, cell.NumPins())
+			for p := range fanins {
+				fanins[p] = pool[rng.Intn(len(pool))]
+			}
+			id, err := nl.AddGate("", cell, fanins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool = append(pool, id)
+		}
+		for i := 0; i < 3; i++ {
+			if err := nl.AddOutput(fmt.Sprintf("o%d", i), pool[len(pool)-1-i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m := Estimate(nl, Options{Words: 2, InputProbs: []float64{0.5, 0.1, 0.9, 0.5, 0.3, 0.5}})
+		s := m.Sim()
+
+		randomLive := func() netlist.NodeID {
+			for {
+				if id := netlist.NodeID(rng.Intn(nl.NumNodes())); !nl.Node(id).Dead() {
+					return id
+				}
+			}
+		}
+		edit := func() {
+			switch rng.Intn(4) {
+			case 0:
+				cell := lib.Cell(cells[rng.Intn(len(cells))])
+				fanins := make([]netlist.NodeID, cell.NumPins())
+				for p := range fanins {
+					fanins[p] = randomLive()
+				}
+				g, err := nl.AddGate("", cell, fanins)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = nl.RedirectOutput(rng.Intn(len(nl.Outputs())), g)
+			case 1:
+				if g := randomLive(); nl.Node(g).Kind() == netlist.KindGate {
+					_ = nl.ReplaceFanin(g, rng.Intn(len(nl.Node(g).Fanins())), randomLive())
+				}
+			case 2:
+				nl.SweepDead()
+			default:
+				in := nl.Inputs()[rng.Intn(len(nl.Inputs()))]
+				s.SetInputWord(in, rng.Intn(s.Words()), rng.Uint64())
+			}
+		}
+		check := func(step int, what string) {
+			t.Helper()
+			updated += len(m.Resync())
+			got := slices.Clone(m.e)
+			m.Reestimate()
+			nl.LiveNodes(func(n *netlist.Node) {
+				id := n.ID()
+				if math.Float64bits(got[id]) != math.Float64bits(m.e[id]) {
+					t.Fatalf("trial %d step %d (%s): node %d has E %v after Resync, %v after Reestimate",
+						trial, step, what, id, got[id], m.e[id])
+				}
+			})
+		}
+		for step := 0; step < 60; step++ {
+			switch rng.Intn(7) {
+			case 0:
+				txn := nl.Begin()
+				for i := 0; i < 1+rng.Intn(3); i++ {
+					edit()
+				}
+				check(step, "txn")
+				txn.Rollback()
+				check(step, "rollback")
+			case 1:
+				toggles := make([]float64, len(nl.Inputs()))
+				for i := range toggles {
+					toggles[i] = []float64{math.NaN(), 0.05, 0.5}[rng.Intn(3)]
+				}
+				m.PinInputs(toggles)
+				check(step, "pin")
+			case 2:
+				if rng.Intn(3) > 0 || s.SetInputsExhaustive() != nil {
+					s.SetInputsRandom(int64(rng.Intn(3)), nil)
+				}
+				check(step, "reseed")
+			case 3:
+				// Move the valid vector count but restore the input
+				// words: no gate's words change, yet its E does.
+				saved := make([][]uint64, len(nl.Inputs()))
+				for i, in := range nl.Inputs() {
+					saved[i] = slices.Clone(s.Value(in))
+				}
+				if s.NumVectors() < s.Words()*64 {
+					s.SetInputsRandom(1, nil)
+				} else if err := s.SetInputsExhaustive(); err != nil {
+					t.Fatal(err)
+				}
+				for i, in := range nl.Inputs() {
+					for w, word := range saved[i] {
+						s.SetInputWord(in, w, word)
+					}
+				}
+				check(step, "recount")
+			default:
+				edit()
+				check(step, "edit")
+			}
+		}
+	}
+	if updated == 0 {
+		t.Fatal("no Resync reported a changed node; the edits test nothing")
+	}
 }

@@ -9,6 +9,7 @@ package sat
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"powder/internal/obs/trace"
 )
@@ -213,25 +214,38 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		panic("sat: AddClause above decision level 0")
 	}
 	// Normalize: drop duplicate and false literals, detect tautology and
-	// satisfied clauses.
-	var out []Lit
-	seen := make(map[Lit]bool, len(lits))
+	// satisfied clauses. seen (clear outside analyze) marks the variables
+	// of the literals kept so far, so a clause of k literals costs O(k)
+	// however wide it is (a miter's tap clause has one literal per
+	// observing output); only a repeated variable scans the kept ones.
+	out := make([]Lit, 0, len(lits))
+	satisfied := false
 	for _, l := range lits {
-		if l.Var() >= len(s.assign) {
+		v := l.Var()
+		if v >= len(s.assign) {
 			panic(fmt.Sprintf("sat: literal %v references unallocated variable", l))
 		}
-		switch {
-		case seen[l]:
-			continue
-		case seen[l.Not()]:
-			return true // tautology
-		case s.value(l) == valTrue:
-			return true // already satisfied at level 0
-		case s.value(l) == valFalse:
+		if s.seen[v] {
+			if slices.Contains(out, l) {
+				continue
+			}
+			satisfied = true // tautology
+			break
+		}
+		if val := s.value(l); val == valTrue {
+			satisfied = true // already satisfied at level 0
+			break
+		} else if val == valFalse {
 			continue // literal already false at level 0
 		}
-		seen[l] = true
+		s.seen[v] = true
 		out = append(out, l)
+	}
+	for _, l := range out {
+		s.seen[l.Var()] = false
+	}
+	if satisfied {
+		return true
 	}
 	switch len(out) {
 	case 0:

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -257,6 +258,86 @@ func TestTautologyAndDuplicates(t *testing.T) {
 	}
 	if got := s.Solve(); got != Sat {
 		t.Errorf("Solve = %v", got)
+	}
+}
+
+// TestAddClauseNormalizes checks AddClause's normalization against a set
+// kept per clause: the same verdict and the same literals in the same
+// order, on random clauses up to 300 literals wide with repeated and
+// complementary literals and level-0 assignments, and the scratch marks
+// clear afterwards.
+func TestAddClauseNormalizes(t *testing.T) {
+	reference := func(s *Solver, lits []Lit) ([]Lit, bool) {
+		var out []Lit
+		seen := make(map[Lit]bool)
+		for _, l := range lits {
+			switch {
+			case seen[l]:
+				continue
+			case seen[l.Not()]:
+				return nil, true
+			case s.value(l) == valTrue:
+				return nil, true
+			case s.value(l) == valFalse:
+				continue
+			}
+			seen[l] = true
+			out = append(out, l)
+		}
+		return out, false
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		s := New()
+		nv := 2 + rng.Intn(400)
+		sign := make([]bool, nv)
+		for i := range sign {
+			s.NewVar()
+			sign[i] = rng.Intn(2) == 0
+		}
+		for c := 0; c < 40 && s.ok; c++ {
+			// Half the clauses take each variable in one polarity, so
+			// that wide clauses with repeats survive as non-tautologies.
+			mixed := rng.Intn(2) == 0
+			lits := make([]Lit, 1+rng.Intn(300))
+			for i := range lits {
+				v := rng.Intn(nv)
+				lits[i] = Pos(v)
+				if mixed && rng.Intn(2) == 0 || !mixed && sign[v] {
+					lits[i] = lits[i].Not()
+				}
+			}
+			if rng.Intn(8) == 0 {
+				lits = lits[:1] // a unit fixes a variable at level 0
+			}
+			want, satisfied := reference(s, lits)
+			n := len(s.clauses)
+			got := s.AddClause(lits...)
+			for v, m := range s.seen {
+				if m {
+					t.Fatalf("trial %d: variable %d still marked after AddClause", trial, v)
+				}
+			}
+			stored := s.clauses[n:]
+			switch {
+			case satisfied:
+				if !got || len(stored) != 0 {
+					t.Fatalf("trial %d: %v = %v with %d stored, want true, none stored", trial, lits, got, len(stored))
+				}
+			case len(want) == 1:
+				if got != s.ok || len(stored) != 0 || s.value(want[0]) != valTrue {
+					t.Fatalf("trial %d: %v = %v with %d stored, want %v assigned true", trial, lits, got, len(stored), want[0])
+				}
+			case len(want) == 0:
+				if got {
+					t.Fatalf("trial %d: %v accepted, want the solver unsatisfiable", trial, lits)
+				}
+			default:
+				if !got || len(stored) != 1 || !slices.Equal(stored[0].lits, want) {
+					t.Fatalf("trial %d: %v stored %v, want %v", trial, lits, stored, want)
+				}
+			}
+		}
 	}
 }
 
