@@ -315,8 +315,9 @@ func BenchmarkKernelObservability(b *testing.B) {
 }
 
 func BenchmarkKernelCandidateGen(b *testing.B) {
-	nl := compileCircuit(b, "ttt2")
+	nl := compileCircuit(b, "spla")
 	pm := power.Estimate(nl, power.Options{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cands := transform.Generate(nl, pm, transform.Config{AllowInverted: true})

@@ -30,6 +30,9 @@ type cnfBuilder struct {
 	varOf []int
 	// encoded counts the nodes encoded so far, one variable each.
 	encoded int
+	// lits is the clause buffer of the cells encoded through the builder
+	// and of the miters built on it.
+	lits clauseBuf
 }
 
 func newCNFBuilder(nl *netlist.Netlist, s sat.ClauseAdder) *cnfBuilder {
@@ -53,20 +56,25 @@ func (b *cnfBuilder) nodeVar(id netlist.NodeID) int {
 		b.varOf[id] = v
 		return v
 	}
-	ins := make([]int, len(n.Fanins()))
+	var ins [maxCellInputs]int
 	for pin, f := range n.Fanins() {
 		ins[pin] = b.nodeVar(f)
 	}
 	v := b.s.NewVar()
 	b.varOf[id] = v
-	encodeCellClauses(b.s, n.Cell().TT, ins, v)
+	encodeCellClauses(b.s, &b.lits, n.Cell().TT, ins[:len(n.Fanins())], v)
 	return v
 }
 
+// clauseBuf holds one clause of a cell encoding. A clause passed through
+// the sat.ClauseAdder interface escapes, so encodeCellClauses builds its
+// clauses in a buffer its caller owns rather than one allocated per call.
+type clauseBuf [1 + maxCellInputs]sat.Lit
+
 // encodeCellClauses emits CNF clauses asserting out == f(ins) for the
-// 6-or-fewer-variable truth table f, from the table's clause template.
-func encodeCellClauses(s sat.ClauseAdder, tt logic.TT, ins []int, out int) {
-	var buf [1 + maxCellInputs]sat.Lit
+// 6-or-fewer-variable truth table f, from the table's clause template,
+// building each clause in buf.
+func encodeCellClauses(s sat.ClauseAdder, buf *clauseBuf, tt logic.TT, ins []int, out int) {
 	for _, c := range cellTemplate(tt) {
 		lits := append(buf[:0], sat.Neg(out))
 		if c.onset {

@@ -102,9 +102,10 @@ func TestCellTemplatesMatchReference(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf clauseBuf
 			for i, tt := range tables {
 				var got, want clauseLog
-				encodeCellClauses(&got, tt, ins[i], 41)
+				encodeCellClauses(&got, &buf, tt, ins[i], 41)
 				referenceCellClauses(&want, tt, ins[i], 41)
 				if !slices.EqualFunc(got.clauses, want.clauses, slices.Equal[[]sat.Lit]) {
 					t.Errorf("table %+v: template clauses %v, reference %v", tt, got.clauses, want.clauses)

@@ -111,6 +111,8 @@ type hashedMiter struct {
 	// gates maps a gate key to the variable of the first gate encoded
 	// with it.
 	gates map[gateKey]int
+	// lits is the clause buffer of the gates encoded.
+	lits clauseBuf
 }
 
 // gateKey identifies a gate's function up to drive strength: the cell's
@@ -161,7 +163,7 @@ func (e *miterSide) nodeVar(id netlist.NodeID) int {
 	v, ok := e.m.gates[key]
 	if !ok {
 		v = e.m.s.NewVar()
-		encodeCellClauses(e.m.s, key.tt, key.ins[:key.tt.N], v)
+		encodeCellClauses(e.m.s, &e.m.lits, key.tt, key.ins[:key.tt.N], v)
 		e.m.gates[key] = v
 	}
 	e.varOf[id] = v

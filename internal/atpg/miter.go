@@ -66,7 +66,7 @@ func buildMiter(nl *netlist.Netlist, b *cnfBuilder, scoped sat.ClauseAdder, p *m
 	srcVar := b.nodeVar(p.src.B)
 	if p.src.IsThree() {
 		v := scoped.NewVar()
-		encodeCellClauses(scoped, p.src.effectiveTT(), []int{b.nodeVar(p.src.B), b.nodeVar(p.src.C)}, v)
+		encodeCellClauses(scoped, &b.lits, p.src.effectiveTT(), []int{b.nodeVar(p.src.B), b.nodeVar(p.src.C)}, v)
 		srcVar = v
 	} else if p.src.InvertB {
 		v := scoped.NewVar()
@@ -79,7 +79,7 @@ func buildMiter(nl *netlist.Netlist, b *cnfBuilder, scoped sat.ClauseAdder, p *m
 	dupVar := make(map[netlist.NodeID]int, len(p.dup))
 	for _, id := range p.dupTopo {
 		n := nl.Node(id)
-		ins := make([]int, len(n.Fanins()))
+		var ins [maxCellInputs]int
 		for pin, f := range n.Fanins() {
 			switch {
 			case p.changedPin[netlist.Branch{Gate: id, Pin: pin}]:
@@ -91,7 +91,7 @@ func buildMiter(nl *netlist.Netlist, b *cnfBuilder, scoped sat.ClauseAdder, p *m
 			}
 		}
 		v := scoped.NewVar()
-		encodeCellClauses(scoped, n.Cell().TT, ins, v)
+		encodeCellClauses(scoped, &b.lits, n.Cell().TT, ins[:len(n.Fanins())], v)
 		dupVar[id] = v
 	}
 

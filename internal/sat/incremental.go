@@ -27,6 +27,10 @@ var (
 // negated activation literal and silently deactivates with it.
 type Incremental struct {
 	s *Solver
+	// guarded is the scratch buffer Scope.AddClause builds each guarded
+	// clause in: Solver.AddClause copies the literals it keeps and holds
+	// on to none.
+	guarded []Lit
 
 	// ScopesOpened and ScopesRetired count Scope/Retire calls.
 	ScopesOpened, ScopesRetired int
@@ -65,10 +69,9 @@ func (sc *Scope) AddClause(lits ...Lit) bool {
 	if sc.retired {
 		panic("sat: AddClause on a retired scope")
 	}
-	guarded := make([]Lit, 0, len(lits)+1)
-	guarded = append(guarded, lits...)
-	guarded = append(guarded, Neg(sc.act))
-	return sc.inc.s.AddClause(guarded...)
+	inc := sc.inc
+	inc.guarded = append(append(inc.guarded[:0], lits...), Neg(sc.act))
+	return inc.s.AddClause(inc.guarded...)
 }
 
 // Solve determines satisfiability of the permanent clauses plus this
