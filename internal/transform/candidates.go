@@ -14,17 +14,9 @@ import (
 
 // Config controls candidate generation.
 type Config struct {
-	// Class enables; the zero Config enables everything (see Normalize).
-	DisableOS2, DisableIS2, DisableOS3, DisableIS3 bool
 	// AllowInverted additionally proposes substitutions by inverted
 	// signals (realized by inverter reuse or insertion).
 	AllowInverted bool
-	// MaxThreeBase caps, per target, the base-signal set of each 2-input
-	// cell shape in the 3-signal pair search (default 16).
-	MaxThreeBase int
-	// MaxPerTarget caps how many candidates one substituted signal may
-	// contribute (default 48).
-	MaxPerTarget int
 	// TargetFilter, when non-nil, restricts harvesting to targets it
 	// accepts: stem substitutions of node A require TargetFilter(A), and
 	// branch substitutions into gate G require TargetFilter(G). The
@@ -34,15 +26,14 @@ type Config struct {
 	TargetFilter func(netlist.NodeID) bool
 }
 
-// Normalize fills defaults.
-func (c *Config) Normalize() {
-	if c.MaxThreeBase <= 0 {
-		c.MaxThreeBase = 16
-	}
-	if c.MaxPerTarget <= 0 {
-		c.MaxPerTarget = 48
-	}
-}
+const (
+	// maxThreeBase caps, per target, the base-signal set of each 2-input
+	// cell shape in the 3-signal pair search.
+	maxThreeBase = 16
+	// maxPerTarget caps how many candidates one substituted signal may
+	// contribute.
+	maxPerTarget = 48
+)
 
 // Generate computes the candidate substitution set of the current netlist
 // using simulation signatures filtered by per-sample observability
@@ -61,7 +52,6 @@ func Generate(nl *netlist.Netlist, pm *power.Model, cfg Config) []*Substitution 
 func GenerateCtx(ctx context.Context, nl *netlist.Netlist, pm *power.Model, cfg Config) []*Substitution {
 	_, sp := trace.StartSpan(ctx, "harvest")
 	defer sp.End()
-	cfg.Normalize()
 	sm := pm.Sim()
 	g := &generator{nl: nl, pm: pm, cfg: cfg, tfoMask: make([]bool, nl.NumNodes()),
 		cones: netlist.NewDeadCones(nl), xorBase: make([][]netlist.NodeID, nl.NumNodes())}
@@ -76,58 +66,54 @@ func GenerateCtx(ctx context.Context, nl *netlist.Netlist, pm *power.Model, cfg 
 	}
 
 	// Stem targets (OS2/OS3).
-	if !cfg.DisableOS2 || !cfg.DisableOS3 {
-		for _, a := range g.pool {
-			n := nl.Node(a)
-			if n.Kind() != netlist.KindGate || n.NumFanouts() == 0 {
-				continue
-			}
-			if cfg.TargetFilter != nil && !cfg.TargetFilter(a) {
-				continue
-			}
-			touched := g.markTFO(a)
-			g.cones.Stem(a)
-			g.target(&targetCtx{
-				a: a, g: netlist.InvalidNode, pin: -1,
-				obs: sm.StemObs(a), tfo: g.tfoMask,
-				av: sm.Value(a),
-			})
-			g.clearTFO(a, touched)
+	for _, a := range g.pool {
+		n := nl.Node(a)
+		if n.Kind() != netlist.KindGate || n.NumFanouts() == 0 {
+			continue
 		}
+		if cfg.TargetFilter != nil && !cfg.TargetFilter(a) {
+			continue
+		}
+		touched := g.markTFO(a)
+		g.cones.Stem(a)
+		g.target(&targetCtx{
+			a: a, g: netlist.InvalidNode, pin: -1,
+			obs: sm.StemObs(a), tfo: g.tfoMask,
+			av: sm.Value(a),
+		})
+		g.clearTFO(a, touched)
 	}
 
 	// Branch targets (IS2/IS3): every gate input pin of a multi-fanout
 	// stem (single-fanout branches coincide with the stem substitution).
-	if !cfg.DisableIS2 || !cfg.DisableIS3 {
-		obs := make([]uint64, sm.Words())
-		for _, gid := range g.pool {
-			n := nl.Node(gid)
-			if n.Kind() != netlist.KindGate {
+	obs := make([]uint64, sm.Words())
+	for _, gid := range g.pool {
+		n := nl.Node(gid)
+		if n.Kind() != netlist.KindGate {
+			continue
+		}
+		if cfg.TargetFilter != nil && !cfg.TargetFilter(gid) {
+			continue
+		}
+		var touched []netlist.NodeID
+		marked := false
+		for pin, drv := range n.Fanins() {
+			if nl.Node(drv).NumFanouts() < 2 {
 				continue
 			}
-			if cfg.TargetFilter != nil && !cfg.TargetFilter(gid) {
-				continue
+			if !marked {
+				touched, marked = g.markTFO(gid), true
 			}
-			var touched []netlist.NodeID
-			marked := false
-			for pin, drv := range n.Fanins() {
-				if nl.Node(drv).NumFanouts() < 2 {
-					continue
-				}
-				if !marked {
-					touched, marked = g.markTFO(gid), true
-				}
-				sm.BranchObs(gid, pin, obs)
-				g.cones.Branch(drv, netlist.Branch{Gate: gid, Pin: pin})
-				g.target(&targetCtx{
-					a: drv, g: gid, pin: pin,
-					obs: obs, tfo: g.tfoMask,
-					av: sm.Value(drv),
-				})
-			}
-			if marked {
-				g.clearTFO(gid, touched)
-			}
+			sm.BranchObs(gid, pin, obs)
+			g.cones.Branch(drv, netlist.Branch{Gate: gid, Pin: pin})
+			g.target(&targetCtx{
+				a: drv, g: gid, pin: pin,
+				obs: obs, tfo: g.tfoMask,
+				av: sm.Value(drv),
+			})
+		}
+		if marked {
+			g.clearTFO(gid, touched)
 		}
 	}
 	harvested(sp, g.out, len(g.pool))
@@ -340,15 +326,13 @@ func scan(list []obsWord, x []uint64) (miss, hit uint64) {
 func (g *generator) target(t *targetCtx) {
 	count := 0
 	add := func(s *Substitution) bool {
-		if count >= g.cfg.MaxPerTarget {
+		if count >= maxPerTarget {
 			return false
 		}
 		g.out = append(g.out, s)
 		count++
 		return true
 	}
-	two := (t.isBranch() && !g.cfg.DisableIS2) || (!t.isBranch() && !g.cfg.DisableOS2)
-	three := (t.isBranch() && !g.cfg.DisableIS3) || (!t.isBranch() && !g.cfg.DisableOS3)
 	g.ones, g.zeros = g.ones[:0], g.zeros[:0]
 	for w, o := range t.obs {
 		if m := t.av[w] & o; m != 0 {
@@ -363,33 +347,28 @@ func (g *generator) target(t *targetCtx) {
 	g.done = [numShapes]bool{}
 
 	// 2-signal candidates.
-	if two {
-		eq, inv := classAnd|classOr, classNand|classNor
-		for i, b := range g.pool {
-			c := g.class[i]
-			if c == 0 {
-				continue
+	eq, inv := classAnd|classOr, classNand|classNor
+	for i, b := range g.pool {
+		c := g.class[i]
+		if c == 0 {
+			continue
+		}
+		if t.isBranch() && b == t.a {
+			continue // no-op: same driver, same polarity
+		}
+		if c&eq == eq {
+			if !add(g.makeTwo(t, b, false)) {
+				return
 			}
-			if t.isBranch() && b == t.a {
-				continue // no-op: same driver, same polarity
-			}
-			if c&eq == eq {
-				if !add(g.makeTwo(t, b, false)) {
-					return
-				}
-			}
-			if g.cfg.AllowInverted && c&inv == inv {
-				if !add(g.makeTwo(t, b, true)) {
-					return
-				}
+		}
+		if g.cfg.AllowInverted && c&inv == inv {
+			if !add(g.makeTwo(t, b, true)) {
+				return
 			}
 		}
 	}
 
 	// 3-signal candidates: cells of one shape share its passing pairs.
-	if !three {
-		return
-	}
 	for _, sc := range g.cells {
 		for _, p := range g.pairsOf(t, sc.shape) {
 			if !add(g.makeThree(t, p[0], p[1], sc.cell)) {
@@ -450,7 +429,7 @@ func (g *generator) addKey(b netlist.NodeID) {
 
 // sortBase orders the base set in g.keys, built in pool order, by
 // transition probability, quiet signals first (the PG_B penalty grows
-// with E), and appends its first MaxThreeBase members to dst. The order
+// with E), and appends its first maxThreeBase members to dst. The order
 // among equal E is part of the output, and the test reference sorts the
 // pool-ordered base with sort.Slice: slices.SortFunc runs the same
 // pdqsort, comparison for comparison and swap for swap, and the
@@ -466,7 +445,7 @@ func (g *generator) sortBase(dst []netlist.NodeID) []netlist.NodeID {
 		}
 		return 0
 	})
-	for _, k := range g.keys[:min(len(g.keys), g.cfg.MaxThreeBase)] {
+	for _, k := range g.keys[:min(len(g.keys), maxThreeBase)] {
 		dst = append(dst, k.id)
 	}
 	return dst
@@ -485,7 +464,7 @@ func (g *generator) xorBaseOf(t *targetCtx) []netlist.NodeID {
 			g.addKey(b)
 		}
 	}
-	base := g.sortBase(make([]netlist.NodeID, 0, min(len(g.keys), g.cfg.MaxThreeBase)))
+	base := g.sortBase(make([]netlist.NodeID, 0, min(len(g.keys), maxThreeBase)))
 	g.xorBase[root] = base
 	return base
 }

@@ -21,55 +21,54 @@ import (
 // reference: full-cone observability propagation per target, every
 // 2-input cell of the library classified and its base set sorted on its
 // own, the XOR base rebuilt per cell and target, and the TFO marked once
-// per branch pin.
-func referenceGenerate(nl *netlist.Netlist, pm *power.Model, cfg Config) []*Substitution {
-	cfg.Normalize()
+// per branch pin. It also returns how often its caps cut the harvest.
+func referenceGenerate(nl *netlist.Netlist, pm *power.Model, cfg Config) ([]*Substitution, refCuts) {
 	sm := pm.Sim()
 	g := &refGenerator{nl: nl, pm: pm, cfg: cfg, words: sm.Words(), tfo: make([]bool, nl.NumNodes()),
 		cones: netlist.NewDeadCones(nl)}
 	g.pool = nl.TopoOrder()
-	if !cfg.DisableOS2 || !cfg.DisableOS3 {
-		for _, a := range g.pool {
-			n := nl.Node(a)
-			if n.Kind() != netlist.KindGate || n.NumFanouts() == 0 ||
-				(cfg.TargetFilter != nil && !cfg.TargetFilter(a)) {
+	for _, a := range g.pool {
+		n := nl.Node(a)
+		if n.Kind() != netlist.KindGate || n.NumFanouts() == 0 ||
+			(cfg.TargetFilter != nil && !cfg.TargetFilter(a)) {
+			continue
+		}
+		obs := sm.StemObservability(a)
+		touched := nl.MarkTFO(a, g.tfo)
+		g.tfo[a] = true
+		g.cones.Stem(a)
+		g.target(&targetCtx{a: a, g: netlist.InvalidNode, pin: -1, obs: obs, tfo: g.tfo, av: sm.Value(a)})
+		g.tfo[a] = false
+		for _, id := range touched {
+			g.tfo[id] = false
+		}
+	}
+	for _, gid := range g.pool {
+		n := nl.Node(gid)
+		if n.Kind() != netlist.KindGate || (cfg.TargetFilter != nil && !cfg.TargetFilter(gid)) {
+			continue
+		}
+		for pin, drv := range n.Fanins() {
+			if nl.Node(drv).NumFanouts() < 2 {
 				continue
 			}
-			obs := sm.StemObservability(a)
-			touched := nl.MarkTFO(a, g.tfo)
-			g.tfo[a] = true
-			g.cones.Stem(a)
-			g.target(&targetCtx{a: a, g: netlist.InvalidNode, pin: -1, obs: obs, tfo: g.tfo, av: sm.Value(a)})
-			g.tfo[a] = false
+			obs := sm.BranchObservability(gid, pin)
+			touched := nl.MarkTFO(gid, g.tfo)
+			g.tfo[gid] = true
+			g.cones.Branch(drv, netlist.Branch{Gate: gid, Pin: pin})
+			g.target(&targetCtx{a: drv, g: gid, pin: pin, obs: obs, tfo: g.tfo, av: sm.Value(drv)})
+			g.tfo[gid] = false
 			for _, id := range touched {
 				g.tfo[id] = false
 			}
 		}
 	}
-	if !cfg.DisableIS2 || !cfg.DisableIS3 {
-		for _, gid := range g.pool {
-			n := nl.Node(gid)
-			if n.Kind() != netlist.KindGate || (cfg.TargetFilter != nil && !cfg.TargetFilter(gid)) {
-				continue
-			}
-			for pin, drv := range n.Fanins() {
-				if nl.Node(drv).NumFanouts() < 2 {
-					continue
-				}
-				obs := sm.BranchObservability(gid, pin)
-				touched := nl.MarkTFO(gid, g.tfo)
-				g.tfo[gid] = true
-				g.cones.Branch(drv, netlist.Branch{Gate: gid, Pin: pin})
-				g.target(&targetCtx{a: drv, g: gid, pin: pin, obs: obs, tfo: g.tfo, av: sm.Value(drv)})
-				g.tfo[gid] = false
-				for _, id := range touched {
-					g.tfo[id] = false
-				}
-			}
-		}
-	}
-	return g.out
+	return g.out, g.cuts
 }
+
+// refCuts counts the reference harvest's cuts: targets whose candidates
+// ran past maxPerTarget, and base sets longer than maxThreeBase.
+type refCuts struct{ perTarget, threeBase int }
 
 type refGenerator struct {
 	nl    *netlist.Netlist
@@ -80,6 +79,7 @@ type refGenerator struct {
 	tfo   []bool
 	cones *netlist.DeadCones
 	out   []*Substitution
+	cuts  refCuts
 }
 
 func (g *refGenerator) sourceOK(t *targetCtx, b netlist.NodeID) bool {
@@ -104,29 +104,25 @@ func (g *refGenerator) target(t *targetCtx) {
 	sm := g.pm.Sim()
 	count := 0
 	add := func(s *Substitution) bool {
-		if count >= g.cfg.MaxPerTarget {
+		if count >= maxPerTarget {
+			g.cuts.perTarget++
 			return false
 		}
 		g.out = append(g.out, s)
 		count++
 		return true
 	}
-	if (t.isBranch() && !g.cfg.DisableIS2) || (!t.isBranch() && !g.cfg.DisableOS2) {
-		for _, b := range g.pool {
-			if !g.sourceOK(t, b) || (t.isBranch() && b == t.a) {
-				continue
-			}
-			bv := sm.Value(b)
-			if g.holds(t, func(w int) uint64 { return bv[w] }) && !add(g.makeTwo(t, b, false)) {
-				return
-			}
-			if g.cfg.AllowInverted && g.holds(t, func(w int) uint64 { return ^bv[w] }) && !add(g.makeTwo(t, b, true)) {
-				return
-			}
+	for _, b := range g.pool {
+		if !g.sourceOK(t, b) || (t.isBranch() && b == t.a) {
+			continue
 		}
-	}
-	if (t.isBranch() && g.cfg.DisableIS3) || (!t.isBranch() && g.cfg.DisableOS3) {
-		return
+		bv := sm.Value(b)
+		if g.holds(t, func(w int) uint64 { return bv[w] }) && !add(g.makeTwo(t, b, false)) {
+			return
+		}
+		if g.cfg.AllowInverted && g.holds(t, func(w int) uint64 { return ^bv[w] }) && !add(g.makeTwo(t, b, true)) {
+			return
+		}
 	}
 	for _, cell := range g.nl.Lib.TwoInputCells() {
 		if !g.threeForCell(t, cell, add) {
@@ -177,8 +173,9 @@ func (g *refGenerator) threeForCell(t *targetCtx, cell *cellib.Cell, add func(*S
 	sort.Slice(base, func(i, j int) bool {
 		return g.pm.TransitionProb(base[i]) < g.pm.TransitionProb(base[j])
 	})
-	if len(base) > g.cfg.MaxThreeBase {
-		base = base[:g.cfg.MaxThreeBase]
+	if len(base) > maxThreeBase {
+		g.cuts.threeBase++
+		base = base[:maxThreeBase]
 	}
 	for i := 0; i < len(base); i++ {
 		for j := i + 1; j < len(base); j++ {
@@ -326,20 +323,18 @@ func (h *halves) count(nl *netlist.Netlist, pm *power.Model) {
 
 // TestGenerateMatchesReference checks that the harvest lists exactly
 // the candidates, in exactly the order, of the harvest it replaced, on
-// random reconvergent netlists under several configurations (caps that
-// cut targets short, class switches, a region filter), with a library
-// that also has a cell shape the pair search skips, under uniform,
-// skewed and VCD-pinned activity; on netlists where most transition
-// probabilities tie, so that base order among equal E shows; and on
-// spla. The skewed runs must reach targets with an empty half of
-// observable samples.
+// random reconvergent netlists with and without inverted sources and
+// under a region filter, with a library that also has a cell shape the
+// pair search skips, under uniform, skewed and VCD-pinned activity; on
+// netlists where most transition probabilities tie, so that base order
+// among equal E shows; and on spla. The random netlists must reach both
+// caps, and the skewed runs targets with an empty half of observable
+// samples.
 func TestGenerateMatchesReference(t *testing.T) {
 	configs := []Config{
 		{AllowInverted: true},
 		{},
-		{AllowInverted: true, MaxPerTarget: 5, MaxThreeBase: 4},
-		{AllowInverted: true, DisableOS2: true, DisableIS3: true},
-		{AllowInverted: true, DisableIS2: true, DisableOS3: true, MaxPerTarget: 12},
+		{AllowInverted: true, TargetFilter: func(id netlist.NodeID) bool { return id%2 == 0 }},
 	}
 	andn, err := cellib.NewCell("andn2", 1856, []cellib.Pin{{Name: "a", Cap: 1}, {Name: "b", Cap: 1}}, "O",
 		logic.And(logic.Var(0), logic.Not(logic.Var(1))), 0.9, 0.12, 0)
@@ -347,6 +342,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	var h halves
+	var cuts refCuts
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(1600 + trial)))
 		nIn := 5
@@ -369,13 +365,17 @@ func TestGenerateMatchesReference(t *testing.T) {
 				h.count(nl, pm)
 			}
 			for ci, cfg := range configs {
-				if ci == len(configs)-1 {
-					cfg.TargetFilter = func(id netlist.NodeID) bool { return id%2 == 0 }
-				}
-				label := fmt.Sprintf("trial %d %s config %d", trial, act, ci)
-				sameCandidates(t, label, Generate(nl, pm, cfg), referenceGenerate(nl, pm, cfg))
+				want, c := referenceGenerate(nl, pm, cfg)
+				cuts.perTarget += c.perTarget
+				cuts.threeBase += c.threeBase
+				sameCandidates(t, fmt.Sprintf("trial %d %s config %d", trial, act, ci), Generate(nl, pm, cfg), want)
 			}
 		}
+	}
+	t.Logf("reference cuts: %d targets at maxPerTarget, %d base sets at maxThreeBase", cuts.perTarget, cuts.threeBase)
+	if cuts.perTarget == 0 || cuts.threeBase == 0 {
+		t.Errorf("reference cuts: %d targets at maxPerTarget, %d base sets at maxThreeBase; want each > 0",
+			cuts.perTarget, cuts.threeBase)
 	}
 	t.Logf("skewed targets: %d without an observable one, %d without an observable zero, %d unobservable",
 		h.noOnes, h.noZeros, h.neither)
@@ -385,8 +385,7 @@ func TestGenerateMatchesReference(t *testing.T) {
 	}
 
 	// Ties: base sets of more than 12 sources are partitioned by pdqsort
-	// rather than insertion-sorted, and a base of 40 shows more of the
-	// order than the default cut.
+	// rather than insertion-sorted.
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(int64(2300 + trial)))
 		nl := tieNetlist(t, rng, 8, 40)
@@ -402,10 +401,9 @@ func TestGenerateMatchesReference(t *testing.T) {
 		if longest <= 12 {
 			t.Fatalf("ties trial %d: at most %d sources share an E", trial, longest)
 		}
-		for ci, cfg := range []Config{{AllowInverted: true}, {AllowInverted: true, MaxThreeBase: 40, MaxPerTarget: 400}} {
-			label := fmt.Sprintf("ties trial %d config %d", trial, ci)
-			sameCandidates(t, label, Generate(nl, pm, cfg), referenceGenerate(nl, pm, cfg))
-		}
+		cfg := Config{AllowInverted: true}
+		want, _ := referenceGenerate(nl, pm, cfg)
+		sameCandidates(t, fmt.Sprintf("ties trial %d", trial), Generate(nl, pm, cfg), want)
 	}
 
 	spec, err := circuits.ByName("spla")
@@ -422,7 +420,8 @@ func TestGenerateMatchesReference(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("spla: no candidates")
 	}
-	sameCandidates(t, "spla", got, referenceGenerate(nl, pm, cfg))
+	want, _ := referenceGenerate(nl, pm, cfg)
+	sameCandidates(t, "spla", got, want)
 }
 
 // tieNetlist builds a netlist over nIn inputs whose gates come in
@@ -476,27 +475,20 @@ func tieNetlist(t testing.TB, rng *rand.Rand, nIn, nPairs int) *netlist.Netlist 
 // FuzzGenerate checks the harvest against the reference on a seeded
 // random netlist under fuzzed sizes, word count, activity and Config.
 func FuzzGenerate(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(30), uint8(1), uint8(0), uint8(0x01), uint8(16), uint8(48))
-	f.Add(int64(2), uint8(15), uint8(50), uint8(19), uint8(1), uint8(0x11), uint8(4), uint8(5))
-	f.Add(int64(3), uint8(9), uint8(40), uint8(3), uint8(2), uint8(0x07), uint8(0), uint8(12))
-	f.Add(int64(4), uint8(3), uint8(12), uint8(1), uint8(1), uint8(0x3f), uint8(40), uint8(200))
-	f.Fuzz(func(t *testing.T, seed int64, nIn, nGates, words, act, flags, maxBase, maxPer uint8) {
+	f.Add(int64(1), uint8(5), uint8(30), uint8(1), uint8(0), uint8(0x01))
+	f.Add(int64(2), uint8(15), uint8(50), uint8(19), uint8(1), uint8(0x01))
+	f.Add(int64(3), uint8(9), uint8(40), uint8(3), uint8(2), uint8(0x03))
+	f.Add(int64(4), uint8(3), uint8(12), uint8(1), uint8(1), uint8(0x02))
+	f.Fuzz(func(t *testing.T, seed int64, nIn, nGates, words, act, flags uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		nl := randomNetlist(t, rng, 1+int(nIn%16), 1+int(nGates%60))
 		opts := activityOptions(t, nl, activities[int(act)%len(activities)], 1+int(words%24), seed)
 		pm := power.Estimate(nl, opts)
-		cfg := Config{
-			AllowInverted: flags&0x01 != 0,
-			DisableOS2:    flags&0x02 != 0,
-			DisableIS2:    flags&0x04 != 0,
-			DisableOS3:    flags&0x08 != 0,
-			DisableIS3:    flags&0x10 != 0,
-			MaxThreeBase:  int(maxBase % 48),
-			MaxPerTarget:  int(maxPer),
-		}
-		if flags&0x20 != 0 {
+		cfg := Config{AllowInverted: flags&0x01 != 0}
+		if flags&0x02 != 0 {
 			cfg.TargetFilter = func(id netlist.NodeID) bool { return id%3 != 0 }
 		}
-		sameCandidates(t, "fuzz", Generate(nl, pm, cfg), referenceGenerate(nl, pm, cfg))
+		want, _ := referenceGenerate(nl, pm, cfg)
+		sameCandidates(t, "fuzz", Generate(nl, pm, cfg), want)
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"powder/internal/logic"
 	"powder/internal/netlist"
 	"powder/internal/power"
-	"powder/internal/sim"
 	"powder/internal/sta"
 )
 
@@ -64,7 +63,7 @@ func TestGenerateFindsPaperMove(t *testing.T) {
 func TestCandidatesAreAcyclicAndApplicable(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
-		nl := randomNetlist(t, rng, 6, 14)
+		nl := randomNetlist(t, rng, 6, 20)
 		pm := power.Estimate(nl, power.Options{})
 		cands := Generate(nl, pm, Config{AllowInverted: true})
 		for _, s := range cands {
@@ -86,7 +85,7 @@ func TestGainPredictionIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	checked := 0
 	for trial := 0; trial < 12; trial++ {
-		nl := randomNetlist(t, rng, 6, 16)
+		nl := randomNetlist(t, rng, 6, 20)
 		pm := power.Estimate(nl, power.Options{})
 		an := NewAnalyzer(nl, pm)
 		cands := Generate(nl, pm, Config{AllowInverted: true})
@@ -124,7 +123,7 @@ func TestAreaDeltaIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	checked := 0
 	for trial := 0; trial < 8; trial++ {
-		nl := randomNetlist(t, rng, 6, 16)
+		nl := randomNetlist(t, rng, 6, 20)
 		pm := power.Estimate(nl, power.Options{})
 		cands := Generate(nl, pm, Config{AllowInverted: true})
 		for k, s := range cands {
@@ -376,20 +375,27 @@ func randomNetlist(t testing.TB, rng *rand.Rand, nIn, nGates int) *netlist.Netli
 	return nl
 }
 
+// TestMaxPerTargetCap checks that no target contributes more than
+// maxPerTarget candidates, on a netlist where some target reaches the cap.
 func TestMaxPerTargetCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	nl := randomNetlist(t, rng, 6, 20)
 	pm := power.Estimate(nl, power.Options{})
-	small := Generate(nl, pm, Config{MaxPerTarget: 2})
 	counts := make(map[string]int)
-	for _, s := range small {
-		key := s.Kind.String() + s.String()
-		_ = key
-		tk := targetKey(s)
-		counts[tk]++
-		if counts[tk] > 2 {
-			t.Fatalf("target %s exceeded cap", tk)
+	for _, s := range Generate(nl, pm, Config{AllowInverted: true}) {
+		counts[targetKey(s)]++
+	}
+	full := 0
+	for tk, n := range counts {
+		if n > maxPerTarget {
+			t.Fatalf("target %q: %d candidates, cap %d", tk, n, maxPerTarget)
 		}
+		if n == maxPerTarget {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatalf("no target of %d reached the cap of %d candidates", len(counts), maxPerTarget)
 	}
 }
 
@@ -405,5 +411,3 @@ func TestKindStrings(t *testing.T) {
 		t.Errorf("Kind strings broken")
 	}
 }
-
-var _ = sim.New // keep import if unused in some build configurations
