@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"math"
 	"testing"
 
 	"powder/internal/atpg"
@@ -163,8 +164,8 @@ func BenchmarkAblationNoPreselect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Optimize(base.Clone(), core.Options{
-			DisablePreselect: true,
-			Transform:        transform.Config{AllowInverted: true},
+			PreselectK: math.MaxInt,
+			Transform:  transform.Config{AllowInverted: true},
 		}); err != nil {
 			b.Fatal(err)
 		}

@@ -55,11 +55,10 @@ type Options struct {
 	// harvest (the paper's `repeat` parameter). Default 10.
 	Repeat int
 	// PreselectK is how many of the best PG_A+PG_B candidates receive the
-	// expensive PG_C reestimation per selection. Default 12.
+	// expensive PG_C reestimation per selection. Default 12; a K at least
+	// the candidate count (math.MaxInt) reestimates every candidate, the
+	// ablation of the paper's pre-selection heuristic.
 	PreselectK int
-	// DisablePreselect reestimates PG_C for every candidate (the ablation
-	// of the paper's pre-selection heuristic).
-	DisablePreselect bool
 	// MinGain is the smallest acceptable power gain; selection stops when
 	// no candidate exceeds it. Default 1e-9.
 	MinGain float64
@@ -108,12 +107,6 @@ type Options struct {
 	Activity string
 	// Transform configures candidate generation.
 	Transform transform.Config
-	// LedgerLimit bounds the run ledger's retained entries per outcome
-	// class (applied moves and rejected attempts are bounded
-	// independently, so a reject flood cannot evict the attribution
-	// table). 0 uses the default of 4096; negative disables the ledger
-	// entirely, leaving Result.Ledger nil.
-	LedgerLimit int
 	// Progress, when non-nil, receives a compact run snapshot after the
 	// initial estimates, after every applied substitution, and once more
 	// when the run ends (Done set). It is invoked synchronously on the
@@ -265,7 +258,10 @@ type Result struct {
 	// Ledger is the run's substitution-provenance record: every selected
 	// attempt with its predicted gain, proof effort, and — for applied
 	// moves — the realized power drop whose sum telescopes to
-	// Initial.Power - Final.Power. Nil when Options.LedgerLimit < 0.
+	// Initial.Power - Final.Power. It retains at most 4096 entries per
+	// outcome class (applied moves and rejected attempts are bounded
+	// independently, so a reject flood cannot evict the attribution
+	// table); its totals count every attempt.
 	Ledger *obs.LedgerSummary
 	// Parallel summarizes the region engine's scheduling activity; nil
 	// for one-region runs (Options.Parallelism <= 1).
@@ -429,6 +425,7 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 		sig:     atpg.NewSigCache(),
 		conf:    obs.NewConflictLedger(0),
 		res:     res,
+		led:     obs.NewLedger(0),
 		par:     &ParallelStats{Workers: opts.Parallelism},
 		retries: opts.MaxRetries,
 		// Safety net: the input clone is trivially the last netlist known
@@ -438,11 +435,6 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 	r.lastGood = r.input
 	if opts.Parallelism > 1 {
 		res.Parallel = r.par
-	}
-	// The run ledger records every selected attempt; a nil ledger (when
-	// disabled) is a no-op on every method.
-	if opts.LedgerLimit >= 0 {
-		r.led = obs.NewLedger(opts.LedgerLimit)
 	}
 	r.prover = &prover{r: r, nl: nl, retries: &r.retries, escal: &res.Escalation}
 	defer func() {

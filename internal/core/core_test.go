@@ -247,15 +247,16 @@ func TestResultHelpers(t *testing.T) {
 }
 
 func TestDisablePreselectAblation(t *testing.T) {
-	// With pre-selection disabled every candidate gets PG_C; the result
-	// must still be a valid optimization (and usually the same or better).
+	// With a pre-selection size of at least the candidate count every
+	// candidate gets PG_C; the result must still be a valid optimization
+	// (and usually the same or better).
 	nl1 := redundantCircuit(t)
 	nl2 := redundantCircuit(t)
 	r1, err := Optimize(nl1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Optimize(nl2, Options{DisablePreselect: true})
+	r2, err := Optimize(nl2, Options{PreselectK: math.MaxInt})
 	if err != nil {
 		t.Fatal(err)
 	}

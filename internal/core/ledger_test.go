@@ -114,25 +114,6 @@ func TestLedgerAttributionUnderDeadline(t *testing.T) {
 	}
 }
 
-// TestLedgerDisabled pins the opt-out: a negative LedgerLimit leaves
-// Result.Ledger nil and the run otherwise unaffected.
-func TestLedgerDisabled(t *testing.T) {
-	nl := redundantCircuit(t)
-	res, err := Optimize(nl, Options{
-		Transform:   transform.Config{AllowInverted: true},
-		LedgerLimit: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ledger != nil {
-		t.Fatalf("Ledger = %+v, want nil when disabled", res.Ledger)
-	}
-	if res.Applied == 0 {
-		t.Error("disabling the ledger suppressed optimization")
-	}
-}
-
 // TestLedgerRecordsProofsAndRejects pins the provenance content: applied
 // moves carry proof records with the permissible verdict, and reject
 // entries carry their reason.

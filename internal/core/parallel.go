@@ -204,9 +204,7 @@ func (r *run) seal(start time.Time) {
 	r.res.Runtime = time.Since(start)
 	r.res.Phases = r.span.Phases()
 	r.res.Ledger = r.led.Summary()
-	if r.res.Ledger != nil {
-		r.res.Ledger.Activity = r.opts.Activity
-	}
+	r.res.Ledger.Activity = r.opts.Activity
 }
 
 // attempt is the ledger entry of a selected candidate before its
@@ -250,11 +248,9 @@ func endCandidate(sp *trace.Span, outcome string) {
 // the reason as its outcome.
 func (r *run) reject(reason string, region int, s *transform.Substitution, proof *obs.LedgerProof) {
 	r.res.Rejects[reason]++
-	if r.led != nil {
-		a := r.attempt(s, region, proof)
-		a.Outcome, a.Reason = obs.LedgerRejected, reason
-		r.led.Record(a)
-	}
+	a := r.attempt(s, region, proof)
+	a.Outcome, a.Reason = obs.LedgerRejected, reason
+	r.led.Record(a)
 }
 
 // verdictReason is the reject reason of a proof that did not come out
@@ -462,10 +458,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		// reestimation only for those (paper Section 3.5). Every pooled
 		// candidate is valid: the harvest emits only valid ones, and the
 		// refresh after each apply or rollback keeps exactly those.
-		k := opts.PreselectK
-		if opts.DisablePreselect || k > len(cands) {
-			k = len(cands)
-		}
+		k := min(opts.PreselectK, len(cands))
 		phase(wctx, "preselect", func() { partialSelectByGainAB(cands, k) })
 		var best *transform.Substitution
 		bestIdx := -1
@@ -628,11 +621,8 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 	// touched cone. Simulation is deterministic, so the realized gains of
 	// the applied moves telescope exactly to the headline Initial.Power -
 	// Final.Power (rollbacks restore prior values).
-	var pBefore float64
-	if r.led != nil {
-		pBefore = r.pm.Total()
-		r.perNodeBefore = r.pm.PerNode(r.perNodeBefore)
-	}
+	pBefore := r.pm.Total()
+	r.perNodeBefore = r.pm.PerNode(r.perNodeBefore)
 	preTouched, _ := preApplyTouched(nl, ms)
 	preSig := poSignatures(r.pm, nl)
 	txn := nl.Begin()
@@ -681,14 +671,12 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 	markTouched(touched, region, preTouched)
 	markTouched(touched, region, postApplyTouched(nl, applyRes))
 
-	if r.led != nil {
-		pAfter := r.pm.Total()
-		r.perNodeAfter = r.pm.PerNode(r.perNodeAfter)
-		a := r.attempt(ms, region, proof)
-		a.Outcome, a.PowerBefore, a.PowerAfter, a.RealizedGain = obs.LedgerApplied, pBefore, pAfter, pBefore-pAfter
-		a.Cone = coneDeltas(nl, r.perNodeBefore, r.perNodeAfter)
-		r.led.Record(a)
-	}
+	pAfter := r.pm.Total()
+	r.perNodeAfter = r.pm.PerNode(r.perNodeAfter)
+	a := r.attempt(ms, region, proof)
+	a.Outcome, a.PowerBefore, a.PowerAfter, a.RealizedGain = obs.LedgerApplied, pBefore, pAfter, pBefore-pAfter
+	a.Cone = coneDeltas(nl, r.perNodeBefore, r.perNodeAfter)
+	r.led.Record(a)
 	cs := res.ByClass[ms.Kind]
 	cs.Count++
 	cs.PowerGain += ms.Gain()
