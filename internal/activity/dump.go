@@ -19,9 +19,6 @@ type DumpOptions struct {
 	Seed int64
 	// InputProbs biases the per-input signal probability (nil = 0.5).
 	InputProbs []float64
-	// Module names the VCD $scope / SAIF top INSTANCE; empty uses the
-	// netlist name (or "powder" if that is empty too).
-	Module string
 }
 
 // dumpSim runs the random stimulus the power estimator would use and
@@ -45,11 +42,9 @@ func bitAt(words []uint64, t int) byte {
 	return byte((words[t/64] >> (uint(t) % 64)) & 1)
 }
 
-// module returns the scope/instance name for the dump.
-func (o DumpOptions) module(nl *netlist.Netlist) string {
-	if o.Module != "" {
-		return o.Module
-	}
+// module returns the VCD $scope / SAIF top INSTANCE name of a dump: the
+// netlist name, or "powder" if that is empty.
+func module(nl *netlist.Netlist) string {
 	if nl.Name != "" {
 		return nl.Name
 	}
@@ -90,7 +85,7 @@ func DumpVCD(w io.Writer, nl *netlist.Netlist, opts DumpOptions) (int, error) {
 	fmt.Fprintf(bw, "$date\n  powder stimulus dump\n$end\n")
 	fmt.Fprintf(bw, "$version\n  powder\n$end\n")
 	fmt.Fprintf(bw, "$timescale 1ns $end\n")
-	fmt.Fprintf(bw, "$scope module %s $end\n", sanitizeName(opts.module(nl)))
+	fmt.Fprintf(bw, "$scope module %s $end\n", sanitizeName(module(nl)))
 	ins := dumpNodes(nl)
 	for i, id := range ins {
 		fmt.Fprintf(bw, "$var wire 1 %s %s $end\n", vcdID(i), sanitizeName(nl.Node(id).Name()))
@@ -140,7 +135,7 @@ func DumpSAIF(w io.Writer, nl *netlist.Netlist, opts DumpOptions) (int, error) {
 	fmt.Fprintf(bw, "  (DIRECTION \"backward\")\n")
 	fmt.Fprintf(bw, "  (TIMESCALE 1 ns)\n")
 	fmt.Fprintf(bw, "  (DURATION %d)\n", duration)
-	fmt.Fprintf(bw, "  (INSTANCE %s\n    (NET\n", sanitizeName(opts.module(nl)))
+	fmt.Fprintf(bw, "  (INSTANCE %s\n    (NET\n", sanitizeName(module(nl)))
 	for _, id := range dumpNodes(nl) {
 		words := s.Value(id)
 		var t1, tc int64

@@ -28,14 +28,12 @@ type RunOptions struct {
 	// Library defaults to cellib.Lib2().
 	Library *cellib.Library
 	// Core is the POWDER option template (delay fields are managed by the
-	// experiment drivers).
+	// experiment drivers, and inverted-source substitutions are always on:
+	// Core.Transform.AllowInverted is set for every run).
 	Core core.Options
 	// MapArea switches the initial mapping to pure area cost; the default
 	// is the power-aware mapper (POSE-like initial circuits).
 	MapArea bool
-	// DisableInverted turns off inverted-source substitutions (enabled by
-	// default).
-	DisableInverted bool
 	// InputProbs maps primary-input names to signal probabilities. Each
 	// circuit's inputs found in the map run at that probability, the rest
 	// at the uniform 0.5; names that match no input of a given circuit
@@ -88,9 +86,7 @@ func (o *RunOptions) normalize() {
 	if o.Library == nil {
 		o.Library = cellib.Lib2()
 	}
-	if !o.DisableInverted {
-		o.Core.Transform.AllowInverted = true
-	}
+	o.Core.Transform.AllowInverted = true
 	o.mapMode = synth.CostPower
 	if o.MapArea {
 		o.mapMode = synth.CostArea

@@ -211,11 +211,12 @@ type Options struct {
 	// measured from a workload activity profile (NaN entries stay on the
 	// independence model). See Model.PinInputs.
 	InputToggles []float64
-	// ExhaustiveLimit: if the circuit has at most this many inputs (and
-	// InputProbs is nil), exhaustive vectors are used and the estimate is
-	// exact. Default 14.
-	ExhaustiveLimit int
 }
+
+// exhaustiveLimit is the most inputs a circuit may have for Estimate to
+// use exhaustive vectors (when InputProbs is nil), which make the
+// estimate exact.
+const exhaustiveLimit = 14
 
 func (o *Options) fill() {
 	if o.Words <= 0 {
@@ -224,9 +225,6 @@ func (o *Options) fill() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.ExhaustiveLimit == 0 {
-		o.ExhaustiveLimit = 14
-	}
 }
 
 // Estimate builds a simulator and power model for the netlist using the
@@ -234,7 +232,7 @@ func (o *Options) fill() {
 func Estimate(nl *netlist.Netlist, opts Options) *Model {
 	opts.fill()
 	words := opts.Words
-	exhaustive := opts.InputProbs == nil && len(nl.Inputs()) <= opts.ExhaustiveLimit
+	exhaustive := opts.InputProbs == nil && len(nl.Inputs()) <= exhaustiveLimit
 	if exhaustive {
 		need := (1<<uint(len(nl.Inputs())) + 63) / 64
 		if need > words {

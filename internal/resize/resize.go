@@ -27,9 +27,11 @@ type Options struct {
 	DelayConstraint float64
 	// Power configures probability estimation when no model is supplied.
 	Power power.Options
-	// MaxRounds bounds the sweep count (default 4).
-	MaxRounds int
 }
+
+// maxRounds bounds the power-recovery sweeps; delay repair may take four
+// times as many.
+const maxRounds = 4
 
 // Result summarizes a pass.
 type Result struct {
@@ -60,9 +62,6 @@ func (r *Result) String() string {
 // Optimize re-sizes gates in place for minimum power under the delay
 // constraint. It is greedy per gate, sweeping until no swap helps.
 func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = 4
-	}
 	pm := power.Estimate(nl, opts.Power)
 	res := &Result{
 		InitialPower: pm.Total(),
@@ -83,7 +82,7 @@ func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
 	// upsize critical-path gates (higher drive, lower R*C delay) even
 	// though that costs input capacitance. This recovers the delay an
 	// unconstrained POWDER run traded away.
-	for round := 0; round < 4*opts.MaxRounds; round++ {
+	for round := 0; round < 4*maxRounds; round++ {
 		a := sta.New(nl, constraint)
 		if a.Delay() <= constraint+1e-9 {
 			break
@@ -124,7 +123,7 @@ func Optimize(nl *netlist.Netlist, opts Options) (*Result, error) {
 
 	// Phase 2 — power recovery: greedily downsize wherever the slack
 	// allows.
-	for round := 0; round < opts.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		changed := 0
 		// Visit high-load gates first: their fanin caps matter most.
 		var gates []netlist.NodeID
