@@ -389,33 +389,6 @@ func TestFaultSimCoverage(t *testing.T) {
 	}
 }
 
-func TestRedundantFaultsFinder(t *testing.T) {
-	// Same redundant circuit as above: y = a + a*b.
-	lib := cellib.Lib2()
-	nl := netlist.New("red", lib)
-	a, _ := nl.AddInput("a")
-	b, _ := nl.AddInput("b")
-	g, _ := nl.AddGate("g", lib.Cell("and2"), []netlist.NodeID{a, b})
-	y, _ := nl.AddGate("y", lib.Cell("or2"), []netlist.NodeID{a, g})
-	if err := nl.AddOutput("y", y); err != nil {
-		t.Fatal(err)
-	}
-	s := sim.New(nl, 1)
-	if err := s.SetInputsExhaustive(); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	red := RedundantFaults(nl, s, 0)
-	if len(red) == 0 {
-		t.Fatalf("redundant circuit must yield redundant faults")
-	}
-	for _, f := range red {
-		if f.Stem == a && !f.IsBranch() {
-			t.Errorf("stem a cannot be redundant: %v", f)
-		}
-	}
-}
-
 func TestEval3(t *testing.T) {
 	and := logic.TTFromExpr(logic.And(logic.Var(0), logic.Var(1)), 2)
 	if eval3(and, []tri{t0, tX}) != t0 {

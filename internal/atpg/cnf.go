@@ -66,9 +66,10 @@ func (b *cnfBuilder) nodeVar(id netlist.NodeID) int {
 	return v
 }
 
-// clauseBuf holds one clause of a cell encoding. A clause passed through
-// the sat.ClauseAdder interface escapes, so encodeCellClauses builds its
-// clauses in a buffer its caller owns rather than one allocated per call.
+// clauseBuf holds one clause of a cell encoding or miter tap. A clause
+// passed through the sat.ClauseAdder interface escapes, so
+// encodeCellClauses and xorVar build their clauses in a buffer their
+// caller owns rather than one allocated per call.
 type clauseBuf [1 + maxCellInputs]sat.Lit
 
 // encodeCellClauses emits CNF clauses asserting out == f(ins) for the
@@ -148,12 +149,17 @@ func compileCellTemplate(tt logic.TT) []cellClause {
 	return t
 }
 
-// xorVar returns a fresh variable constrained to a XOR b.
-func xorVar(s sat.ClauseAdder, a, b int) int {
+// xorVar returns a fresh variable constrained to a XOR b, building its
+// clauses in buf.
+func xorVar(s sat.ClauseAdder, buf *clauseBuf, a, b int) int {
 	d := s.NewVar()
-	s.AddClause(sat.Neg(d), sat.Pos(a), sat.Pos(b))
-	s.AddClause(sat.Neg(d), sat.Neg(a), sat.Neg(b))
-	s.AddClause(sat.Pos(d), sat.Neg(a), sat.Pos(b))
-	s.AddClause(sat.Pos(d), sat.Pos(a), sat.Neg(b))
+	for _, c := range [4][3]sat.Lit{
+		{sat.Neg(d), sat.Pos(a), sat.Pos(b)},
+		{sat.Neg(d), sat.Neg(a), sat.Neg(b)},
+		{sat.Pos(d), sat.Neg(a), sat.Pos(b)},
+		{sat.Pos(d), sat.Pos(a), sat.Neg(b)},
+	} {
+		s.AddClause(append(buf[:0], c[:]...)...)
+	}
 	return d
 }

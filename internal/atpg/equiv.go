@@ -82,7 +82,7 @@ func EquivalentCtx(ctx context.Context, x, y *netlist.Netlist, budget int64) (*E
 			return &EquivResult{Verdict: Aborted}, nil
 		}
 		s.SetBudget(left)
-		d := xorVar(s, a, b)
+		d := xorVar(s, &m.lits, a, b)
 		switch s.Solve(sat.Pos(d)) {
 		case sat.Unsat:
 			s.AddClause(sat.Neg(d))
@@ -111,7 +111,7 @@ type hashedMiter struct {
 	// gates maps a gate key to the variable of the first gate encoded
 	// with it.
 	gates map[gateKey]int
-	// lits is the clause buffer of the gates encoded.
+	// lits is the clause buffer of the gates encoded and the output taps.
 	lits clauseBuf
 }
 

@@ -82,7 +82,7 @@ func referenceEquivalent(ctx context.Context, x, y *netlist.Netlist, budget int6
 	var diffs []sat.Lit
 	diffVarToName := make(map[int]string)
 	for _, p := range pairsOut {
-		d := xorVar(s, bx.nodeVar(p.x), by.nodeVar(p.y))
+		d := xorVar(s, &bx.lits, bx.nodeVar(p.x), by.nodeVar(p.y))
 		diffVarToName[d] = p.name
 		diffs = append(diffs, sat.Pos(d))
 	}

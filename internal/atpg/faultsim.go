@@ -1,9 +1,6 @@
 package atpg
 
-import (
-	"powder/internal/netlist"
-	"powder/internal/sim"
-)
+import "powder/internal/sim"
 
 // FaultSim is a parallel-pattern single-fault simulator: it reuses the
 // simulator's sample vectors and reports, per fault, whether any vector
@@ -52,21 +49,4 @@ func (fs *FaultSim) Coverage(faults []Fault) (detected int, undetected []Fault) 
 		}
 	}
 	return detected, undetected
-}
-
-// RedundantFaults combines fault simulation with PODEM: faults undetected
-// by the sample vectors are handed to the test generator, and those proven
-// untestable are returned. Untestable stuck-at faults indicate redundant
-// circuitry, the classic ATPG-based optimization hook the paper's
-// transformations build on.
-func RedundantFaults(nl *netlist.Netlist, s *sim.Simulator, limit int) []Fault {
-	fs := NewFaultSim(s)
-	_, undetected := fs.Coverage(AllFaults(nl))
-	var redundant []Fault
-	for _, f := range undetected {
-		if _, outcome := GenerateTest(nl, f, limit); outcome == Untestable {
-			redundant = append(redundant, f)
-		}
-	}
-	return redundant
 }

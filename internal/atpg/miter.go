@@ -101,13 +101,13 @@ func buildMiter(nl *netlist.Netlist, b *cnfBuilder, scoped sat.ClauseAdder, p *m
 	for _, poIdx := range p.changedPOs {
 		seenPO[poIdx] = true
 		d := nl.Outputs()[poIdx].Driver
-		diffs = append(diffs, sat.Pos(xorVar(scoped, b.nodeVar(d), srcVar)))
+		diffs = append(diffs, sat.Pos(xorVar(scoped, &b.lits, b.nodeVar(d), srcVar)))
 	}
 	for poIdx, po := range nl.Outputs() {
 		if seenPO[poIdx] || !p.dup[po.Driver] {
 			continue
 		}
-		diffs = append(diffs, sat.Pos(xorVar(scoped, b.nodeVar(po.Driver), dupVar[po.Driver])))
+		diffs = append(diffs, sat.Pos(xorVar(scoped, &b.lits, b.nodeVar(po.Driver), dupVar[po.Driver])))
 	}
 	return diffs
 }

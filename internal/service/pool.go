@@ -99,13 +99,6 @@ func (p *Pool) Submit(fn func()) {
 	p.tasks <- task{fn: fn}
 }
 
-// TrySubmit enqueues a task without blocking; it reports false when the
-// queue is full or the pool is closed (the caller's backpressure
-// signal).
-func (p *Pool) TrySubmit(fn func()) bool {
-	return p.TrySubmitLabeled("", fn)
-}
-
 // SubmitLabeled enqueues a labeled task, blocking while the queue is
 // full; it reports false (without panicking) when the pool is closed.
 // Recovery re-enqueues use it: a restored backlog may legitimately
@@ -120,8 +113,10 @@ func (p *Pool) SubmitLabeled(label string, fn func()) bool {
 	return true
 }
 
-// TrySubmitLabeled is TrySubmit with a task label (conventionally the
-// job ID) that WorkerStatus reports while the task runs.
+// TrySubmitLabeled enqueues a task without blocking; it reports false
+// when the queue is full or the pool is closed (the caller's
+// backpressure signal). The label (conventionally the job ID) is what
+// WorkerStatus reports while the task runs.
 func (p *Pool) TrySubmitLabeled(label string, fn func()) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

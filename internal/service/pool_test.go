@@ -24,11 +24,11 @@ func TestPoolTrySubmitBackpressure(t *testing.T) {
 	started := make(chan struct{})
 	p.Submit(func() { close(started); <-release }) // occupies the worker
 	<-started
-	if !p.TrySubmit(func() {}) {
+	if !p.TrySubmitLabeled("", func() {}) {
 		t.Fatal("queue slot should accept one task")
 	}
 	var overflow func() = func() {}
-	if p.TrySubmit(overflow) {
+	if p.TrySubmitLabeled("", overflow) {
 		t.Fatal("full queue accepted a task")
 	}
 	if p.QueueDepth() != 1 {
@@ -39,7 +39,7 @@ func TestPoolTrySubmitBackpressure(t *testing.T) {
 	if !p.closedForTest() {
 		t.Fatal("pool should be closed")
 	}
-	if p.TrySubmit(func() {}) {
+	if p.TrySubmitLabeled("", func() {}) {
 		t.Fatal("closed pool accepted a task")
 	}
 }
@@ -70,7 +70,7 @@ func TestPoolCloseIdempotentAndConcurrentWithTrySubmit(t *testing.T) {
 			case <-stopSubmitting:
 				return
 			default:
-				p.TrySubmit(func() {})
+				p.TrySubmitLabeled("", func() {})
 			}
 		}
 	}()
