@@ -66,10 +66,11 @@ func (b *cnfBuilder) nodeVar(id netlist.NodeID) int {
 	return v
 }
 
-// clauseBuf holds one clause of a cell encoding or miter tap. A clause
-// passed through the sat.ClauseAdder interface escapes, so
-// encodeCellClauses and xorVar build their clauses in a buffer their
-// caller owns rather than one allocated per call.
+// clauseBuf holds one clause of a cell encoding, miter tap or inverted
+// miter source. A clause passed through the sat.ClauseAdder interface
+// escapes, so encodeCellClauses, xorVar and buildMiter build their
+// clauses in a buffer their caller owns rather than one allocated per
+// call.
 type clauseBuf [1 + maxCellInputs]sat.Lit
 
 // encodeCellClauses emits CNF clauses asserting out == f(ins) for the

@@ -70,8 +70,8 @@ func buildMiter(nl *netlist.Netlist, b *cnfBuilder, scoped sat.ClauseAdder, p *m
 		srcVar = v
 	} else if p.src.InvertB {
 		v := scoped.NewVar()
-		scoped.AddClause(sat.Pos(v), sat.Pos(srcVar))
-		scoped.AddClause(sat.Neg(v), sat.Neg(srcVar))
+		scoped.AddClause(append(b.lits[:0], sat.Pos(v), sat.Pos(srcVar))...)
+		scoped.AddClause(append(b.lits[:0], sat.Neg(v), sat.Neg(srcVar))...)
 		srcVar = v
 	}
 

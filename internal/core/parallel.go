@@ -453,6 +453,12 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		rep.rejects[RejectStale]++
 		r.led.CountReject(RejectStale)
 	}
+	// analyzed holds the top K of the latest pick, whose PG_C was analyzed
+	// at replica version analyzedAt: PG_C reads nothing else, so while the
+	// replica stays at that version (the pick was rejected), the next pick
+	// analyzes only the candidates new to its top K.
+	analyzed := make(map[*transform.Substitution]bool, min(opts.PreselectK, len(cands)))
+	analyzedAt := replica.Version()
 	for repeat := opts.Repeat; repeat > 0 && len(cands) > 0 && ctx.Err() == nil; {
 		// Pre-selection: the best PG_A+PG_B candidates (cheap), then PG_C
 		// reestimation only for those (paper Section 3.5). Every pooled
@@ -463,11 +469,23 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		var best *transform.Substitution
 		bestIdx := -1
 		phase(wctx, "pgc-reestimate", func() {
+			if v := replica.Version(); v != analyzedAt {
+				clear(analyzed)
+				analyzedAt = v
+			}
 			for i, s := range cands[:k] {
-				an.AnalyzeC(s)
+				if !analyzed[s] {
+					an.AnalyzeC(s)
+				} else if gainCCheck != nil {
+					gainCCheck(an, s)
+				}
 				if best == nil || s.Gain() > best.Gain() {
 					best, bestIdx = s, i
 				}
+			}
+			clear(analyzed)
+			for _, s := range cands[:k] {
+				analyzed[s] = true
 			}
 		})
 		if best == nil || best.Gain() <= opts.MinGain {
@@ -506,6 +524,9 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		aSpan.End()
 		if applyErr != nil {
 			txn.Rollback()
+			// The journal restores the structure but not the order of its
+			// fanout lists, over which loads are summed.
+			timing = nil
 			reject(cSpan, RejectApplyConflict, best, proof)
 			phase(wctx, "ab-analysis", func() { cands = rf.rolledBack(an, cands, stale) })
 			continue
@@ -651,6 +672,7 @@ func (r *run) commit(ctx context.Context, ch *regionChain, p proposal, touched m
 	}
 	if applyErr != nil {
 		txn.Rollback()
+		r.timing = nil
 		phase(pctx, "power-resync", func() { r.pm.Resync() })
 		pSpan.SetAttr("error", applyErr.Error())
 		fail(reason, proof)
@@ -709,7 +731,7 @@ func (r *run) delayOK(ctx context.Context, timing **sta.Analysis, nl *netlist.Ne
 	}
 	_, sp := trace.StartSpan(ctx, "delay-check")
 	defer sp.End()
-	return transform.DelayOK(nl, s, *timing)
+	return delayCheck(nl, s, *timing)
 }
 
 // conflict reports why a proposal's proof may not hold on the master

@@ -39,9 +39,19 @@ func newRefresher(nl *netlist.Netlist) *refresher {
 // it must be safe for concurrent use.
 var refreshCheck func(nl *netlist.Netlist, an *transform.Analyzer, before, kept []*transform.Substitution)
 
+// gainCCheck, when set, is called with every candidate whose PG_C a pick
+// reuses from the pick before, and the analyzer beside it. The exactness
+// tests set it to compare the reused PG_C with a fresh AnalyzeC. It is
+// called from every region worker, so it must be safe for concurrent use.
+var gainCCheck func(an *transform.Analyzer, s *transform.Substitution)
+
 // applyReplica applies a substitution on a region worker's replica; the
 // rollback test swaps it for one that fails.
 var applyReplica = transform.ApplySafe
+
+// delayCheck is the delay check of a pick or a commit; the rollback test
+// swaps it for one that also compares the what-if with a reference.
+var delayCheck = transform.DelayOK
 
 // refresh drops the candidates the apply of a substitution invalidated
 // and re-analyzes PG_A+PG_B where the apply may have moved it, counting

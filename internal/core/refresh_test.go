@@ -11,6 +11,7 @@ import (
 
 	"powder/internal/activity"
 	"powder/internal/netlist"
+	"powder/internal/sta"
 	"powder/internal/transform"
 )
 
@@ -104,19 +105,45 @@ func exactRefresh(refreshes, checked *atomic.Int64, fail func(format string, arg
 	}
 }
 
+// exactGainC returns a gainCCheck hook that compares every PG_C a pick
+// reuses with a fresh AnalyzeC, bit for bit, and counts the reuses.
+func exactGainC(reuses *atomic.Int64, fail func(format string, args ...any)) func(*transform.Analyzer, *transform.Substitution) {
+	return func(an *transform.Analyzer, s *transform.Substitution) {
+		reuses.Add(1)
+		c := *s
+		an.AnalyzeC(&c)
+		if math.Float64bits(c.GainC) != math.Float64bits(s.GainC) {
+			fail("%v: reused GainC %v, a fresh AnalyzeC %v", s, s.GainC, c.GainC)
+		}
+	}
+}
+
+// referenceDelayAfter is the delay a what-if must match: s applied to a
+// clone of nl, and the clone's full timing analysis.
+func referenceDelayAfter(nl *netlist.Netlist, s *transform.Substitution) (float64, error) {
+	cp := nl.Clone()
+	sc := *s
+	if _, err := transform.ApplySafe(cp, &sc); err != nil {
+		return 0, err
+	}
+	return sta.New(cp, 0).Delay(), nil
+}
+
 // TestIncrementalRefreshIsExact runs the full reference refresh beside the
 // incremental one after every replica apply, and beside every harvest:
 // every candidate entering a preselect must be valid, and its GainAB and
-// AreaDelta must equal a fresh AnalyzeAB bit for bit.
+// AreaDelta must equal a fresh AnalyzeAB bit for bit. Every PG_C a pick
+// reuses from the pick before must equal a fresh AnalyzeC bit for bit.
 func TestIncrementalRefreshIsExact(t *testing.T) {
-	var refreshes, checked, failures atomic.Int64
+	var refreshes, checked, reuses, failures atomic.Int64
 	fail := func(format string, args ...any) {
 		if failures.Add(1) <= 10 {
 			t.Errorf(format, args...)
 		}
 	}
 	refreshCheck = exactRefresh(&refreshes, &checked, fail)
-	defer func() { refreshCheck = nil }()
+	gainCCheck = exactGainC(&reuses, fail)
+	defer func() { refreshCheck, gainCCheck = nil, nil }()
 
 	names := []string{"comp", "clip", "apex1", "x3", "ex4", "rd84", "t481", "misex3", "C432", "spla"}
 	if raceEnabled {
@@ -154,9 +181,12 @@ func TestIncrementalRefreshIsExact(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("%d refreshes of %d candidates checked", refreshes.Load(), checked.Load())
+	t.Logf("%d refreshes of %d candidates, %d reused PG_C checked", refreshes.Load(), checked.Load(), reuses.Load())
 	if refreshes.Load() < 50 {
 		t.Errorf("only %d refreshes ran; the runs apply too little to test the refresh", refreshes.Load())
+	}
+	if reuses.Load() == 0 {
+		t.Errorf("no pick reused a PG_C")
 	}
 }
 
@@ -165,14 +195,17 @@ func TestIncrementalRefreshIsExact(t *testing.T) {
 // refresh must follow each rollback before anything else happens on the
 // replica, and the full reference refresh beside it checks that the
 // candidates entering the next preselect are exactly the valid ones,
-// freshly analyzed.
+// freshly analyzed. On delay-constrained runs the first delay check after
+// each rollback must time the pick as the reference does, bit for bit.
 func TestRolledBackApplyRefreshes(t *testing.T) {
 	var (
 		mu         sync.Mutex
 		applies    int
 		rolledBack = map[*netlist.Netlist]bool{}
+		untimed    = map[*netlist.Netlist]bool{}
 		rollbacks  int
 		refreshed  int
+		timed      int
 	)
 	applyReplica = func(nl *netlist.Netlist, s *transform.Substitution) (*transform.ApplyResult, error) {
 		mu.Lock()
@@ -183,12 +216,30 @@ func TestRolledBackApplyRefreshes(t *testing.T) {
 		res, err := transform.ApplySafe(nl, s)
 		if applies++; err == nil && applies%2 == 1 {
 			rolledBack[nl] = true
+			untimed[nl] = true
 			rollbacks++
 			return nil, fmt.Errorf("injected failure after applying %v", s)
 		}
 		return res, err
 	}
-	defer func() { applyReplica = transform.ApplySafe }()
+	delayCheck = func(nl *netlist.Netlist, s *transform.Substitution, a *sta.Analysis) bool {
+		mu.Lock()
+		first := untimed[nl]
+		delete(untimed, nl)
+		mu.Unlock()
+		if first {
+			got, ok := transform.DelayAfter(nl, s, a)
+			want, err := referenceDelayAfter(nl, s)
+			if ok != (err == nil) || got != want {
+				t.Errorf("%s: after a rollback %v times at %v (ok %v), the reference at %v (%v)", nl.Name, s, got, ok, want, err)
+			}
+			mu.Lock()
+			timed++
+			mu.Unlock()
+		}
+		return transform.DelayOK(nl, s, a)
+	}
+	defer func() { applyReplica, delayCheck = transform.ApplySafe, transform.DelayOK }()
 	var refreshes, checked, failures atomic.Int64
 	fail := func(format string, args ...any) {
 		if failures.Add(1) <= 10 {
@@ -209,23 +260,29 @@ func TestRolledBackApplyRefreshes(t *testing.T) {
 
 	for _, name := range []string{"comp", "clip", "rd84"} {
 		base := compileBenchmark(t, name)
-		for _, par := range []int{1, 2} {
-			applies = 0
-			res, err := Optimize(base.Clone(), Options{
-				Parallelism:      par,
-				MaxSubstitutions: 6,
-				Transform:        transform.Config{AllowInverted: true},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Rejects[RejectApplyConflict] == 0 {
-				t.Errorf("%s -par %d: no apply was rolled back", name, par)
+		for _, df := range []float64{0, 1.1} {
+			for _, par := range []int{1, 2} {
+				applies = 0
+				res, err := Optimize(base.Clone(), Options{
+					DelayFactor:      df,
+					Parallelism:      par,
+					MaxSubstitutions: 6,
+					Transform:        transform.Config{AllowInverted: true},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Rejects[RejectApplyConflict] == 0 {
+					t.Errorf("%s df %g -par %d: no apply was rolled back", name, df, par)
+				}
 			}
 		}
 	}
-	t.Logf("%d rollbacks, %d refreshes of %d candidates checked", rollbacks, refreshes.Load(), checked.Load())
+	t.Logf("%d rollbacks, %d refreshes of %d candidates checked, %d delay checks after a rollback", rollbacks, refreshes.Load(), checked.Load(), timed)
 	if refreshed != rollbacks {
 		t.Errorf("%d of %d rollbacks were followed by a refresh", refreshed, rollbacks)
+	}
+	if timed == 0 {
+		t.Errorf("no delay check followed a rollback")
 	}
 }

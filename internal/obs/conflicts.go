@@ -14,7 +14,7 @@ import (
 // bounded like the run ledger — a fixed number of distinct (pair, node)
 // cells; once full, new cells are dropped and counted while existing
 // cells keep accumulating — so a pathological run cannot grow it
-// without bound. A nil *ConflictLedger is a no-op.
+// without bound.
 //
 // Kinds mirror the engine's conflict taxonomy: "touched" (support node
 // rewritten by an earlier commit from another region), "shared"
@@ -60,9 +60,6 @@ func NewConflictLedger(limit int) *ConflictLedger {
 // region 0 stands for the master/serial side when the other party is
 // unknown.
 func (l *ConflictLedger) Record(regionA, regionB int, node, kind string) {
-	if l == nil {
-		return
-	}
 	if regionA > regionB {
 		regionA, regionB = regionB, regionA
 	}
@@ -103,12 +100,9 @@ type ConflictSummary struct {
 	DroppedCells int64            `json:"dropped_cells,omitempty"`
 }
 
-// Summary snapshots the ledger. A nil ledger returns an empty summary.
+// Summary snapshots the ledger.
 func (l *ConflictLedger) Summary() ConflictSummary {
 	var s ConflictSummary
-	if l == nil {
-		return s
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s.Total = l.total
@@ -143,16 +137,6 @@ func (l *ConflictLedger) Summary() ConflictSummary {
 		return a.Node < b.Node
 	})
 	return s
-}
-
-// Total returns the number of conflicts recorded so far.
-func (l *ConflictLedger) Total() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
 }
 
 // WriteText renders the summary as an aligned heatmap table, hottest

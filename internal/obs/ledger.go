@@ -87,8 +87,7 @@ type LedgerAttempt struct {
 // Ledger is a bounded-memory record of every substitution attempt of one
 // optimization run. Applied and rejected entries are retained in
 // separate rings so a flood of rejects can never evict the attribution
-// table; evicted entries stay counted. A nil Ledger is a no-op, like
-// every other obs instrument.
+// table; evicted entries stay counted.
 type Ledger struct {
 	mu    sync.Mutex
 	limit int
@@ -121,9 +120,6 @@ func NewLedger(limit int) *Ledger {
 // when the retention bound later drops the entry, so summary totals stay
 // exact on arbitrarily long runs.
 func (l *Ledger) Record(a LedgerAttempt) int {
-	if l == nil {
-		return 0
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
@@ -154,9 +150,6 @@ func (l *Ledger) Record(a LedgerAttempt) int {
 // entry. The optimizer uses it for bulk invalidations (stale candidates
 // after an apply) where per-entry records would be noise.
 func (l *Ledger) CountReject(reason string) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	l.rejects[reason]++
 	l.mu.Unlock()
@@ -207,11 +200,8 @@ type LedgerSummary struct {
 	ByNode []LedgerNodeAttribution `json:"by_node,omitempty"`
 }
 
-// Summary snapshots the ledger; nil ledgers summarize as nil.
+// Summary snapshots the ledger.
 func (l *Ledger) Summary() *LedgerSummary {
-	if l == nil {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := &LedgerSummary{

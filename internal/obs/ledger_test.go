@@ -6,13 +6,7 @@ import (
 	"testing"
 )
 
-func TestNilLedgerIsNoOp(t *testing.T) {
-	var l *Ledger
-	l.Record(LedgerAttempt{Outcome: LedgerApplied, RealizedGain: 1})
-	l.CountReject("stale")
-	if s := l.Summary(); s != nil {
-		t.Fatalf("nil ledger summary = %+v, want nil", s)
-	}
+func TestNilSummaryBriefIsNil(t *testing.T) {
 	var s *LedgerSummary
 	if b := s.Brief(); b != nil {
 		t.Fatalf("nil summary Brief = %+v, want nil", b)

@@ -21,11 +21,18 @@ import (
 // arrive at time 0 whatever their load.
 type Analysis struct {
 	nl        *netlist.Netlist
+	version   int64
+	order     []netlist.NodeID
 	arrival   []float64
 	required  []float64
 	gateDelay []float64
-	delay     float64
-	constr    float64
+	// dangling lists the live gates without fanout, which the sweep
+	// after any edit removes.
+	dangling []netlist.NodeID
+	delay    float64
+	constr   float64
+	// w is DelayAfter's scratch, allocated by its first call.
+	w *whatIf
 }
 
 // New computes arrival and required times. A positive constraint sets the
@@ -43,7 +50,9 @@ func (a *Analysis) compute() {
 	a.arrival = make([]float64, n)
 	a.required = make([]float64, n)
 	a.gateDelay = make([]float64, n)
+	a.version = nl.Version()
 	order := nl.TopoOrder()
+	a.order = order
 
 	// Forward: arrival times.
 	a.delay = 0
@@ -51,6 +60,9 @@ func (a *Analysis) compute() {
 		nd := nl.Node(id)
 		if nd.Kind() == netlist.KindInput {
 			continue // arrival and gate delay stay 0
+		}
+		if nd.NumFanouts() == 0 {
+			a.dangling = append(a.dangling, id)
 		}
 		d := nd.Cell().Delay(nl.Load(id))
 		a.gateDelay[id] = d

@@ -18,20 +18,29 @@ const delayEps = 1e-9
 //
 // The local checks alone can miss pathological interactions (one path
 // accumulating the shifts of several loaded signals), so survivors are
-// confirmed exactly on a scratch copy; the paper's guarantee — the
-// circuit delay never exceeds the constraint — therefore holds
-// unconditionally. Load that is *removed* only ever speeds the circuit up.
+// confirmed by DelayAfter, the exact delay of the applied netlist; the
+// paper's guarantee — the circuit delay never exceeds the constraint —
+// therefore holds unconditionally. The confirmation re-times only what
+// the substitution changes and allocates nothing.
 func DelayOK(nl *netlist.Netlist, s *Substitution, a *sta.Analysis) bool {
 	if !delayOKLocal(nl, s, a) {
 		return false
 	}
-	cp := nl.Clone()
-	sCp := *s
-	if _, err := Apply(cp, &sCp); err != nil {
-		return false
+	d, ok := DelayAfter(nl, s, a)
+	return ok && d <= a.Constraint()+delayEps
+}
+
+// DelayAfter returns the circuit delay nl would have after Apply(nl, s),
+// bit for bit what sta.New would compute on the applied netlist, from a,
+// nl's current analysis, without editing nl. ok is false exactly when
+// Apply would fail.
+func DelayAfter(nl *netlist.Netlist, s *Substitution, a *sta.Analysis) (delay float64, ok bool) {
+	var buf editBuf
+	e, err := s.edit(nl, &buf)
+	if err != nil {
+		return 0, false
 	}
-	d := sta.New(cp, 0).Delay()
-	return d <= a.Constraint()+delayEps
+	return a.DelayAfter(&e)
 }
 
 // delayOKLocal is the paper's incremental feasibility check.

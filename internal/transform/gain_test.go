@@ -26,8 +26,13 @@ func referenceAB(t *testing.T, nl *netlist.Netlist, pm *power.Model, s *Substitu
 	for _, id := range cone {
 		dead[id] = true
 	}
+	var buf editBuf
+	e, err := s.edit(nl, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	moved := 0.0
-	for _, b := range s.detachedBranches(nl) {
+	for _, b := range e.Moved {
 		moved += nl.BranchCap(b)
 	}
 	pgA := 0.0

@@ -15,10 +15,12 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"powder/internal/atpg"
 	"powder/internal/cellib"
 	"powder/internal/netlist"
+	"powder/internal/sta"
 )
 
 // Kind is the substitution class of the paper's Definitions 1 and 2.
@@ -122,15 +124,6 @@ func (s *Substitution) String() string {
 	return fmt.Sprintf("%s %s <- %s (gainAB=%.4f gainC=%.4f)", s.Kind, s.TargetString(), s.SourceString(), s.GainAB, s.GainC)
 }
 
-// detachedBranches returns the branches the substitution detaches from
-// stem A, as a copy the caller may keep across edits.
-func (s *Substitution) detachedBranches(nl *netlist.Netlist) []netlist.Branch {
-	if s.IsBranchSub() {
-		return []netlist.Branch{{Gate: s.G, Pin: s.Pin}}
-	}
-	return append([]netlist.Branch(nil), nl.Node(s.A).Fanouts()...)
-}
-
 // movedCap returns the capacitance moved from A to the substituting signal.
 func (s *Substitution) movedCap(nl *netlist.Netlist) float64 {
 	if s.IsBranchSub() {
@@ -154,6 +147,51 @@ type ApplyResult struct {
 	Removed []netlist.NodeID
 }
 
+// editBuf holds the slices of an edit, so that deriving one allocates
+// nothing.
+type editBuf struct {
+	in  [2]netlist.NodeID
+	one [1]netlist.Branch
+}
+
+// edit returns the netlist edit applying s makes: the gate, if any, that
+// materializes the substituting signal (the new 2-input gate of the
+// 3-signal forms, or a new inverter), the signal driving the rewired
+// branches otherwise, and the branches detached from A. Apply makes the
+// edit and DelayAfter times it, so the two cannot drift apart. For a stem
+// the branches are A's fanout list itself, which the edit changes.
+func (s *Substitution) edit(nl *netlist.Netlist, buf *editBuf) (sta.Edit, error) {
+	e := sta.Edit{Source: s.Src.B}
+	switch {
+	case s.Src.IsThree():
+		if s.NewCell == nil {
+			return e, fmt.Errorf("transform: 3-substitution without a cell")
+		}
+		if s.Src.InvertB || s.Src.InvertC {
+			return e, fmt.Errorf("transform: inverted inputs on 3-substitutions are not generated")
+		}
+		buf.in = [2]netlist.NodeID{s.Src.B, s.Src.C}
+		e.Insert, e.In = s.NewCell, buf.in[:2]
+	case s.Src.InvertB && s.Inv == InvReuse:
+		e.Source = s.InvNode
+	case s.Src.InvertB && s.Inv == InvAdd:
+		if e.Insert = nl.Lib.Inverter(); e.Insert == nil {
+			return e, fmt.Errorf("transform: library has no inverter")
+		}
+		buf.in[0] = s.Src.B
+		e.In = buf.in[:1]
+	case s.Src.InvertB:
+		return e, fmt.Errorf("transform: inverted source without an inverter plan")
+	}
+	if s.IsBranchSub() {
+		buf.one[0] = netlist.Branch{Gate: s.G, Pin: s.Pin}
+		e.Moved = buf.one[:]
+	} else {
+		e.Moved = nl.Node(s.A).Fanouts()
+	}
+	return e, nil
+}
+
 // Apply performs the substitution on the netlist: it materializes the
 // substituting signal (reusing or inserting an inverter, inserting the new
 // 2-input gate for the 3-signal forms), rewires the detached branches, and
@@ -161,52 +199,29 @@ type ApplyResult struct {
 // verified permissibility and timing beforehand; Apply only revalidates
 // structure (cycle-freedom) through the netlist editing primitives.
 func Apply(nl *netlist.Netlist, s *Substitution) (*ApplyResult, error) {
-	res := &ApplyResult{}
-
-	// Materialize the source signal.
-	src := s.Src.B
-	if s.Src.IsThree() {
-		if s.NewCell == nil {
-			return nil, fmt.Errorf("transform: 3-substitution without a cell")
-		}
-		if s.Src.InvertB || s.Src.InvertC {
-			return nil, fmt.Errorf("transform: inverted inputs on 3-substitutions are not generated")
-		}
-		g, err := nl.AddGate("", s.NewCell, []netlist.NodeID{s.Src.B, s.Src.C})
+	var buf editBuf
+	e, err := s.edit(nl, &buf)
+	if err != nil {
+		return nil, err
+	}
+	res := &ApplyResult{Source: e.Source}
+	if e.Insert != nil {
+		g, err := nl.AddGate("", e.Insert, e.In)
 		if err != nil {
 			return nil, err
 		}
-		src = g
+		res.Source = g
 		res.Added = append(res.Added, g)
-	} else if s.Src.InvertB {
-		switch s.Inv {
-		case InvReuse:
-			src = s.InvNode
-		case InvAdd:
-			inv := nl.Lib.Inverter()
-			if inv == nil {
-				return nil, fmt.Errorf("transform: library has no inverter")
-			}
-			g, err := nl.AddGate("", inv, []netlist.NodeID{s.Src.B})
-			if err != nil {
-				return nil, err
-			}
-			src = g
-			res.Added = append(res.Added, g)
-		default:
-			return nil, fmt.Errorf("transform: inverted source without an inverter plan")
-		}
 	}
-	res.Source = src
 
-	// Rewire.
-	for _, b := range s.detachedBranches(nl) {
+	// Rewire a copy of the branches: rewiring edits A's fanout list.
+	for _, b := range slices.Clone(e.Moved) {
 		if b.IsPO() {
-			if err := nl.RedirectOutput(b.Pin, src); err != nil {
+			if err := nl.RedirectOutput(b.Pin, res.Source); err != nil {
 				return nil, err
 			}
 		} else {
-			if err := nl.ReplaceFanin(b.Gate, b.Pin, src); err != nil {
+			if err := nl.ReplaceFanin(b.Gate, b.Pin, res.Source); err != nil {
 				return nil, err
 			}
 		}
