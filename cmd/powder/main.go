@@ -610,8 +610,8 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "  rollbacks: %d\n", rb)
 		}
 		if p := res.Parallel; p != nil {
-			fmt.Fprintf(stdout, "  parallel: %d workers, %d rounds, %d regions, %d proposals (%d conflicts, %d replays, %d cache hits)\n",
-				p.Workers, p.Rounds, p.Regions, p.Proposals, p.Conflicts, p.Replays, p.SigCacheHits)
+			fmt.Fprintf(stdout, "  parallel: %d workers, %d rounds, %d regions, %d proposals (%d conflicts, %d replays)\n",
+				p.Workers, p.Rounds, p.Regions, p.Proposals, p.Conflicts, p.Replays)
 		}
 		if res.StoppedEarly() {
 			fmt.Fprintf(stdout, "  stopped early: %s (the emitted netlist is the best verified result so far)\n", res.Stopped)

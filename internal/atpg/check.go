@@ -83,18 +83,20 @@ type CheckStats struct {
 	// (structural verdicts that never reach the solver contribute zero).
 	Conflicts int64
 	Decisions int64
-	// Cached counts the refutations answered by the shared refuted-miter
-	// cache without a solve (included in Checks and Refuted).
-	Cached int
+	// VectorRefuted counts the refutations a stored counterexample vector
+	// answered without a miter (included in Checks and Refuted).
+	VectorRefuted int
 }
 
 // CheckDetail records the outcome and effort of one proof, for callers
 // (the run ledger) that attribute SAT work to individual candidates.
 type CheckDetail struct {
-	Verdict   Verdict
-	Conflicts int64
-	Decisions int64
-	Seconds   float64
+	Verdict Verdict
+	// VectorRefuted marks a refutation by a stored counterexample vector.
+	VectorRefuted bool
+	Conflicts     int64
+	Decisions     int64
+	Seconds       float64
 	// Budget is the conflict budget the proof ran under.
 	Budget int64
 }

@@ -4,6 +4,7 @@ package atpg_test
 // internal/transform, which itself imports atpg.
 
 import (
+	"slices"
 	"testing"
 
 	"powder/internal/atpg"
@@ -42,7 +43,6 @@ func TestIncrementalParity(t *testing.T) {
 			t.Fatalf("%s: no candidates", name)
 		}
 		inc := atpg.NewIncrementalChecker(nl)
-		inc.Sig = atpg.NewSigCache()
 		for _, s := range cands {
 			got, support := checkSub(inc, s)
 			rewired := nl.Clone()
@@ -76,49 +76,47 @@ func TestIncrementalParity(t *testing.T) {
 	}
 }
 
-// TestSigCacheShortCircuit: re-checking a refuted candidate hits the
-// cache without touching the solver.
-func TestSigCacheShortCircuit(t *testing.T) {
+// TestVectorShortCircuit: re-checking a refuted candidate does no solver
+// work, and a checker over a clone, seeded with the first checker's
+// vectors as a region worker's is with the run's, refutes it too.
+func TestVectorShortCircuit(t *testing.T) {
 	nl := compileBenchmark(t, "comp")
-	pm := power.Estimate(nl, power.Options{})
+	// One sample word leaves the harvest filter loose enough to pass
+	// candidates a proof refutes.
+	pm := power.Estimate(nl, power.Options{Words: 1})
 	cands := transform.Generate(nl, pm, transform.Config{AllowInverted: true})
 	inc := atpg.NewIncrementalChecker(nl)
-	inc.Sig = atpg.NewSigCache()
 
 	var refuted *transform.Substitution
 	for _, s := range cands {
 		v, _ := checkSub(inc, s)
-		if v == atpg.NotPermissible {
+		if v == atpg.NotPermissible && !inc.LastCheck.VectorRefuted {
 			refuted = s
 			break
 		}
 	}
 	if refuted == nil {
-		t.Skip("no refuted candidate on comp")
+		t.Fatal("no SAT refutation on comp")
 	}
-	c0 := inc.Stats.Conflicts
-	d0 := inc.Stats.Decisions
+	if len(inc.Vectors) == 0 || !slices.Equal(inc.Vectors[len(inc.Vectors)-1], inc.Counterexample()) {
+		t.Fatalf("the refutation's counterexample %v is not the last stored vector", inc.Counterexample())
+	}
+	c0, d0, r0 := inc.Stats.Conflicts, inc.Stats.Decisions, inc.Stats.VectorRefuted
 	if v, _ := checkSub(inc, refuted); v != atpg.NotPermissible {
 		t.Fatalf("recheck verdict %v", v)
 	}
-	if inc.Stats.Conflicts != c0 || inc.Stats.Decisions != d0 {
-		t.Fatal("cache hit still ran the solver")
-	}
-	hits, _, entries := inc.Sig.Stats()
-	if hits == 0 || entries == 0 {
-		t.Fatalf("hits=%d entries=%d", hits, entries)
+	if inc.Stats.Conflicts != c0 || inc.Stats.Decisions != d0 || inc.Stats.VectorRefuted != r0+1 {
+		t.Fatalf("recheck: conflicts %d -> %d, decisions %d -> %d, vector refutations %d -> %d",
+			c0, inc.Stats.Conflicts, d0, inc.Stats.Decisions, r0, inc.Stats.VectorRefuted)
 	}
 
-	// A second checker over a clone (same IDs, same topology) shares the
-	// cache, mirroring the per-worker replicas of a parallel run.
-	clone := nl.Clone()
-	inc2 := atpg.NewIncrementalChecker(clone)
-	inc2.Sig = inc.Sig
-	if v, _ := checkSub(inc2, refuted); v != atpg.NotPermissible {
-		t.Fatal("clone checker missed the shared cache verdict")
+	inc2 := atpg.NewIncrementalChecker(nl.Clone())
+	inc2.Vectors = slices.Clone(inc.Vectors)
+	if v, _ := checkSub(inc2, refuted); v != atpg.NotPermissible || !inc2.LastCheck.VectorRefuted {
+		t.Fatalf("clone checker: %v (vector refuted %t), want a vector refutation", v, inc2.LastCheck.VectorRefuted)
 	}
-	if inc2.Stats.Conflicts != 0 {
-		t.Fatal("clone checker solved despite the cache")
+	if inc2.Stats.Conflicts != 0 || inc2.Stats.Decisions != 0 {
+		t.Fatal("clone checker solved despite the stored vectors")
 	}
 }
 

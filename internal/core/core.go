@@ -287,9 +287,6 @@ type ParallelStats struct {
 	Conflicts int `json:"conflicts"`
 	// Replays counts serial re-proofs run at commit time.
 	Replays int `json:"replays"`
-	// SigCacheHits counts proofs short-circuited by the shared
-	// refuted-miter signature cache.
-	SigCacheHits int64 `json:"sigcache_hits"`
 	// WorkerBusySeconds sums every region worker's wall time inside its
 	// round (replica build through last proposal); ParallelSeconds sums
 	// the concurrent-phase walls (first worker start to barrier clear),
@@ -422,7 +419,6 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 		nl:      nl,
 		opts:    &opts,
 		span:    optSpan,
-		sig:     atpg.NewSigCache(),
 		conf:    obs.NewConflictLedger(0),
 		res:     res,
 		led:     obs.NewLedger(0),
@@ -482,7 +478,6 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 	})
 	addCheckStats(&res.CheckStats, r.prover.stats())
 	if par := res.Parallel; par != nil {
-		par.SigCacheHits, _, _ = r.sig.Stats()
 		if s := r.conf.Summary(); s.Total > 0 {
 			par.ConflictLedger = &s
 		}

@@ -32,7 +32,7 @@ func RecordMetrics(reg *obs.Registry, res *Result) {
 	add("atpg.verdict."+atpg.Permissible.String(), int64(cs.Permissible))
 	add("atpg.verdict."+atpg.NotPermissible.String(), int64(cs.Refuted))
 	add("atpg.verdict."+atpg.Aborted.String(), int64(cs.Aborted))
-	add("atpg.sigcache.hits", int64(cs.Cached))
+	add("atpg.vector.refuted", int64(cs.VectorRefuted))
 	if res.Harvests > 0 {
 		reg.Counter("transform.candidates").Add(int64(res.Candidates))
 	}

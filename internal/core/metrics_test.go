@@ -15,8 +15,8 @@ import (
 // core.phase.spans{phase} and its seconds in core.phase.seconds{phase};
 // the ledger histograms observe each retained move once; and one-region
 // runs produce no core.par.* series. The set of runs reaches escalations,
-// refuted-miter cache hits and region conflicts, so those series are
-// checked against real values.
+// vector refutations and region conflicts, so those series are checked
+// against real values.
 func TestRecordMetricsMatchesResult(t *testing.T) {
 	seen := map[string]bool{}
 	for _, name := range []string{"comp", "apex5"} {
@@ -71,15 +71,12 @@ func TestRecordMetricsMatchesResult(t *testing.T) {
 							t.Errorf("-par %d: %s has %d observations, want 1", par, n, got)
 						}
 					}
-					if par > 1 && res.CheckStats.Cached != int(res.Parallel.SigCacheHits) {
-						t.Errorf("CheckStats.Cached = %d, SigCacheHits = %d", res.CheckStats.Cached, res.Parallel.SigCacheHits)
-					}
 				})
 			}
 		}
 	}
 	for _, n := range []string{
-		"atpg.sigcache.hits", "atpg.verdict.aborted", "core.escalation.retries",
+		"atpg.vector.refuted", "atpg.verdict.aborted", "core.escalation.retries",
 		"core.rejects.delay", "core.rejects.refuted", "core.rejects.stale",
 		"core.par.conflicts", "core.par.replays",
 	} {
@@ -107,7 +104,7 @@ func wantCounters(res *Result) map[string]int64 {
 		"atpg.verdict.permissible":     int64(cs.Permissible),
 		"atpg.verdict.not-permissible": int64(cs.Refuted),
 		"atpg.verdict.aborted":         int64(cs.Aborted),
-		"atpg.sigcache.hits":           int64(cs.Cached),
+		"atpg.vector.refuted":          int64(cs.VectorRefuted),
 		"transform.candidates":         int64(res.Candidates),
 		"core.applied":                 int64(res.Applied),
 		"core.safety.refresh":          int64(res.SafetyRefreshes),

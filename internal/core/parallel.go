@@ -34,7 +34,10 @@ import (
 // Workers never touch the master netlist: each one clones it (Clone is a
 // pure read), estimates its own power model (deterministic, so replica
 // values equal the master's), and proves candidates on an incremental SAT
-// solver seeded with the shared refuted-miter cache.
+// solver whose counterexample store starts from the run's vectors. The
+// barrier appends each worker's new vectors to the run's list in region
+// order, and the commit phase's re-proofs read and extend it, so workers
+// share no mutable proof state.
 //
 // Soundness of the conflict rule: a proof's support set (the duplicated
 // region plus the fanin closure of everything its miter encoded) contains
@@ -52,13 +55,11 @@ import (
 // check carries over.
 //
 // Determinism: regions commit in region order and proposals in proposal
-// order, and decomposition, replica construction, harvesting, and
-// selection are all deterministic, so a fixed -par P produces a
-// deterministic result up to proof-budget boundary effects (a shared
-// cache hit can change how much learning a later borderline proof starts
-// with). With -par 1 the one region covers the whole netlist and its
-// proposals commit unchanged, so a round is one harvest of the paper's
-// greedy loop.
+// order, and decomposition, replica construction, harvesting, selection
+// and proving are all deterministic, so a fixed -par P produces a
+// deterministic result, proof effort included. With -par 1 the one region
+// covers the whole netlist and its proposals commit unchanged, so a round
+// is one harvest of the paper's greedy loop.
 
 // proposal is one region-proven substitution awaiting serial commit. All
 // node IDs are in the proposing replica's space, which coincides with the
@@ -91,9 +92,11 @@ type workerReport struct {
 	candidates int
 	rejects    map[string]int // count-only rejects (stale refreshes)
 	stats      atpg.CheckStats
-	escal      EscalationStats
-	retries    int   // the unspent part of the region's retry share
-	err        error // recovered worker panic, re-raised by the round
+	// vectors are the counterexamples the worker's proofs found.
+	vectors [][]bool
+	escal   EscalationStats
+	retries int   // the unspent part of the region's retry share
+	err     error // recovered worker panic, re-raised by the round
 	// start/end bound the worker's busy interval; the master derives
 	// utilization, barrier skew, and the retroactive barrier-wait spans
 	// from them after the round barrier.
@@ -110,14 +113,13 @@ type touchMark struct {
 
 // run is the state of one OptimizeCtx call. The round loop and the
 // commit phase own it; region workers only read it, apart from the
-// thread-safe ledger and signature cache.
+// thread-safe ledger.
 type run struct {
 	nl   *netlist.Netlist
 	opts *Options
 	// span is the run's root span; it holds the phase table.
 	span *trace.Span
 	led  *obs.Ledger
-	sig  *atpg.SigCache
 	conf *obs.ConflictLedger
 	res  *Result
 	// par accumulates the scheduling statistics; Result.Parallel points
@@ -128,7 +130,8 @@ type run struct {
 	// timing is the master's delay analysis, rebuilt on demand after the
 	// netlist changes; nil until a commit needs a delay re-check.
 	timing *sta.Analysis
-	// prover serves commit-time re-proofs on the master netlist.
+	// prover serves commit-time re-proofs on the master netlist; its
+	// vectors are the run's counterexample list.
 	prover *prover
 	// retries is the unspent part of the run's MaxRetries quota.
 	retries int
@@ -198,7 +201,6 @@ func (r *run) seal(start time.Time) {
 		sp.SetAttr("rounds", par.Rounds)
 		sp.SetAttr("conflicts", par.Conflicts)
 		sp.SetAttr("replays", par.Replays)
-		sp.SetAttr("sigcache_hits", par.SigCacheHits)
 	}
 	sp.End()
 	r.res.Runtime = time.Since(start)
@@ -230,10 +232,13 @@ func (r *run) attempt(s *transform.Substitution, region int, proof *obs.LedgerPr
 // then decides under a candidate span of its own.
 func startCandidate(ctx context.Context, s *transform.Substitution, region int) (context.Context, *trace.Span) {
 	ctx, sp := trace.StartSpan(ctx, "candidate")
-	sp.SetAttr("kind", s.Kind.String())
-	sp.SetAttr("sub", s.String())
-	sp.SetAttr("gain", s.Gain())
-	sp.SetAttr("region", region)
+	// An untraced span drops its attributes; skip formatting them.
+	if trace.FromContext(ctx) != nil {
+		sp.SetAttr("kind", s.Kind.String())
+		sp.SetAttr("sub", s.String())
+		sp.SetAttr("gain", s.Gain())
+		sp.SetAttr("region", region)
+	}
 	return ctx, sp
 }
 
@@ -291,6 +296,7 @@ func (r *run) round(ctx context.Context, round int) bool {
 			res.Rejects[reason] += n
 		}
 		addCheckStats(&res.CheckStats, rep.stats)
+		r.prover.vectors = append(r.prover.vectors, rep.vectors...)
 		res.Escalation.Retries += rep.escal.Retries
 		res.Escalation.Permissible += rep.escal.Permissible
 		res.Escalation.Refuted += rep.escal.Refuted
@@ -442,8 +448,11 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 	// timing is the replica's delay analysis, rebuilt on demand after
 	// each replica apply.
 	var timing *sta.Analysis
-	pv := &prover{r: r, nl: replica, retries: &rep.retries, escal: &rep.escal}
-	defer func() { rep.stats = pv.stats() }()
+	// The worker's counterexamples start from the run's; the capped
+	// slice makes its appends copy, so no worker writes the run's list.
+	known := len(r.prover.vectors)
+	pv := &prover{r: r, nl: replica, vectors: r.prover.vectors[:known:known], retries: &rep.retries, escal: &rep.escal}
+	defer func() { rep.stats, rep.vectors = pv.stats(), pv.vectors[known:] }()
 	reject := func(sp *trace.Span, reason string, s *transform.Substitution, proof *obs.LedgerProof) {
 		rep.rejected = append(rep.rejected, rejection{len(rep.proposals), reason, s, proof})
 		endCandidate(sp, reason)
@@ -787,12 +796,16 @@ func (r *run) verifySafetyNet(ctx context.Context) {
 // prover proves substitutions on one netlist for one goroutine: a region
 // worker's proofs on its replica, or the commit phase's re-proofs on the
 // master. Its checker is rebuilt whenever the netlist has moved since the
-// previous proof; every checker of a run shares the refuted-miter cache.
+// previous proof, and every checker refutes by the prover's counterexample
+// vectors, which outlive the rebuilds.
 type prover struct {
 	r       *run
 	nl      *netlist.Netlist
 	c       *atpg.IncrementalChecker
 	version int64
+	// vectors are the counterexamples the checkers refute by; a check
+	// appends each new one.
+	vectors [][]bool
 	// replaced sums the statistics of the checkers already rebuilt.
 	replaced atpg.CheckStats
 	// proofs is the running proof count across rebuilds, the argument
@@ -812,7 +825,6 @@ func (p *prover) checker() *atpg.IncrementalChecker {
 		addCheckStats(&p.replaced, p.c.Stats)
 	}
 	p.c = atpg.NewIncrementalChecker(p.nl)
-	p.c.Sig = p.r.sig
 	if p.r.opts.CheckBudget > 0 {
 		p.c.Budget = p.r.opts.CheckBudget
 	}
@@ -856,12 +868,17 @@ func (p *prover) prove(ctx context.Context, s *transform.Substitution) (atpg.Ver
 			eSpan.SetAttr("step", step)
 			eSpan.SetAttr("budget", c.Budget)
 		}
+		c.Vectors = p.vectors
 		if s.IsBranchSub() {
 			verdict, support = c.CheckBranch(s.G, s.Pin, s.Src)
 		} else {
 			verdict, support = c.CheckStem(s.A, s.Src)
 		}
+		p.vectors = c.Vectors
 		d := c.LastCheck
+		if d.VectorRefuted && vectorCheck != nil {
+			vectorCheck(p.nl, s)
+		}
 		proof.Conflicts += d.Conflicts
 		proof.Decisions += d.Decisions
 		proof.Seconds += d.Seconds
@@ -899,7 +916,7 @@ func addCheckStats(dst *atpg.CheckStats, src atpg.CheckStats) {
 	dst.Aborted += src.Aborted
 	dst.Conflicts += src.Conflicts
 	dst.Decisions += src.Decisions
-	dst.Cached += src.Cached
+	dst.VectorRefuted += src.VectorRefuted
 }
 
 // mapSub translates a replica-space substitution into master IDs through

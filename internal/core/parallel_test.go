@@ -6,6 +6,8 @@ import (
 
 	"powder/internal/faultinject"
 	"powder/internal/netlist"
+	"powder/internal/obs/trace"
+	"powder/internal/power"
 	"powder/internal/transform"
 )
 
@@ -83,27 +85,38 @@ func TestParallelismOneIsDefault(t *testing.T) {
 }
 
 // TestParallelDeterministic: a fixed -par P run commits regions in a
-// deterministic order, so two runs from identical inputs agree.
+// deterministic order and its workers share no proof state, so two runs
+// from identical inputs agree on the netlist and on the proof effort:
+// checks, verdicts, vector refutations, conflicts and decisions.
 func TestParallelDeterministic(t *testing.T) {
-	a := compileBenchmark(t, "clip")
-	b := a.Clone()
-	opts := func() Options {
-		return Options{Parallelism: 4, Transform: transform.Config{AllowInverted: true}}
-	}
-	ra, err := Optimize(a, opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := Optimize(b, opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Applied != rb.Applied || ra.Final.Power != rb.Final.Power {
-		t.Fatalf("two -par 4 runs diverged: applied %d/%d power %.6f/%.6f",
-			ra.Applied, rb.Applied, ra.Final.Power, rb.Final.Power)
-	}
-	if !exhaustiveEqual(t, a, b) {
-		t.Fatal("two -par 4 runs produced different netlists")
+	for _, tc := range []struct {
+		name string
+		par  int
+	}{{"clip", 4}, {"x3", 2}, {"x3", 4}} {
+		a := compileBenchmark(t, tc.name)
+		b := a.Clone()
+		opts := Options{Parallelism: tc.par, Transform: transform.Config{AllowInverted: true}}
+		ra, err := Optimize(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := Optimize(b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra.Applied != rb.Applied || ra.Final.Power != rb.Final.Power {
+			t.Fatalf("%s: two -par %d runs diverged: applied %d/%d power %.6f/%.6f",
+				tc.name, tc.par, ra.Applied, rb.Applied, ra.Final.Power, rb.Final.Power)
+		}
+		if ra.CheckStats != rb.CheckStats {
+			t.Fatalf("%s: two -par %d runs proved differently: %+v / %+v", tc.name, tc.par, ra.CheckStats, rb.CheckStats)
+		}
+		if a.StructuralHash() != b.StructuralHash() {
+			t.Fatalf("%s: two -par %d runs produced different netlists", tc.name, tc.par)
+		}
+		if tc.name == "x3" && ra.CheckStats.VectorRefuted == 0 {
+			t.Errorf("x3 -par %d: no vector refutation to compare", tc.par)
+		}
 	}
 }
 
@@ -171,5 +184,30 @@ func TestParallelTinyCircuit(t *testing.T) {
 	}
 	if !exhaustiveEqual(t, ref, nl) {
 		t.Fatal("tiny parallel run broke function")
+	}
+}
+
+// TestUntracedCandidateAllocs: without a tracer, opening a selected
+// candidate's span allocates no more than a bare span under the run's
+// phase table. The attributes an untraced span drops are never formatted.
+func TestUntracedCandidateAllocs(t *testing.T) {
+	nl := compileBenchmark(t, "comp")
+	cands := transform.Generate(nl, power.Estimate(nl, powerOptsSmall()), transform.Config{AllowInverted: true})
+	if len(cands) == 0 {
+		t.Fatal("no candidates on comp")
+	}
+	ctx, root := trace.StartTable(context.Background(), "optimize")
+	defer root.End()
+	bare := testing.AllocsPerRun(100, func() {
+		_, sp := trace.StartSpan(ctx, "candidate")
+		sp.End()
+	})
+	// A region past 255 would box to a fresh allocation.
+	cand := testing.AllocsPerRun(100, func() {
+		_, sp := startCandidate(ctx, cands[0], 300)
+		sp.End()
+	})
+	if cand > bare {
+		t.Errorf("untraced startCandidate: %v allocations, a bare span %v", cand, bare)
 	}
 }

@@ -45,6 +45,12 @@ var refreshCheck func(nl *netlist.Netlist, an *transform.Analyzer, before, kept 
 // called from every region worker, so it must be safe for concurrent use.
 var gainCCheck func(an *transform.Analyzer, s *transform.Substitution)
 
+// vectorCheck, when set, is called with every candidate a stored
+// counterexample vector refuted, and the netlist it was refuted on. The
+// exactness test sets it to re-prove the refutation by SAT. It is called
+// from every region worker, so it must be safe for concurrent use.
+var vectorCheck func(nl *netlist.Netlist, s *transform.Substitution)
+
 // applyReplica applies a substitution on a region worker's replica; the
 // rollback test swaps it for one that fails.
 var applyReplica = transform.ApplySafe

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"powder/internal/activity"
+	"powder/internal/atpg"
 	"powder/internal/netlist"
 	"powder/internal/sta"
 	"powder/internal/transform"
@@ -129,26 +130,14 @@ func referenceDelayAfter(nl *netlist.Netlist, s *transform.Substitution) (float6
 	return sta.New(cp, 0).Delay(), nil
 }
 
-// TestIncrementalRefreshIsExact runs the full reference refresh beside the
-// incremental one after every replica apply, and beside every harvest:
-// every candidate entering a preselect must be valid, and its GainAB and
-// AreaDelta must equal a fresh AnalyzeAB bit for bit. Every PG_C a pick
-// reuses from the pick before must equal a fresh AnalyzeC bit for bit.
-func TestIncrementalRefreshIsExact(t *testing.T) {
-	var refreshes, checked, reuses, failures atomic.Int64
-	fail := func(format string, args ...any) {
-		if failures.Add(1) <= 10 {
-			t.Errorf(format, args...)
-		}
-	}
-	refreshCheck = exactRefresh(&refreshes, &checked, fail)
-	gainCCheck = exactGainC(&reuses, fail)
-	defer func() { refreshCheck, gainCCheck = nil, nil }()
-
+// exactnessRuns optimizes each named circuit (three small ones under the
+// race detector, which slows the runs about tenfold) under uniform,
+// biased and VCD-pinned activity, free and delay-constrained, at -par 1
+// and -par 2: the runs the exactness hooks are checked on, as parallel
+// subtests of "runs".
+func exactnessRuns(t *testing.T) {
 	names := []string{"comp", "clip", "apex1", "x3", "ex4", "rd84", "t481", "misex3", "C432", "spla"}
 	if raceEnabled {
-		// The detector slows the runs ~10x; three small circuits still
-		// run every shape, and the hook concurrently at -par 2.
 		names = []string{"comp", "clip", "rd84"}
 	}
 	t.Run("runs", func(t *testing.T) {
@@ -181,12 +170,59 @@ func TestIncrementalRefreshIsExact(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestIncrementalRefreshIsExact runs the full reference refresh beside the
+// incremental one after every replica apply, and beside every harvest:
+// every candidate entering a preselect must be valid, and its GainAB and
+// AreaDelta must equal a fresh AnalyzeAB bit for bit. Every PG_C a pick
+// reuses from the pick before must equal a fresh AnalyzeC bit for bit.
+func TestIncrementalRefreshIsExact(t *testing.T) {
+	var refreshes, checked, reuses, failures atomic.Int64
+	fail := func(format string, args ...any) {
+		if failures.Add(1) <= 10 {
+			t.Errorf(format, args...)
+		}
+	}
+	refreshCheck = exactRefresh(&refreshes, &checked, fail)
+	gainCCheck = exactGainC(&reuses, fail)
+	defer func() { refreshCheck, gainCCheck = nil, nil }()
+	exactnessRuns(t)
 	t.Logf("%d refreshes of %d candidates, %d reused PG_C checked", refreshes.Load(), checked.Load(), reuses.Load())
 	if refreshes.Load() < 50 {
 		t.Errorf("only %d refreshes ran; the runs apply too little to test the refresh", refreshes.Load())
 	}
 	if reuses.Load() == 0 {
 		t.Errorf("no pick reused a PG_C")
+	}
+}
+
+// TestVectorRefutationsAreExact re-proves by SAT, on a fresh checker with
+// no stored vectors and no conflict budget, every candidate a stored
+// counterexample vector refuted in the exactness runs: the store refutes
+// only what the proof would.
+func TestVectorRefutationsAreExact(t *testing.T) {
+	var confirmed, failures atomic.Int64
+	vectorCheck = func(nl *netlist.Netlist, s *transform.Substitution) {
+		c := atpg.NewIncrementalChecker(nl)
+		c.Budget = 0
+		var v atpg.Verdict
+		if s.IsBranchSub() {
+			v, _ = c.CheckBranch(s.G, s.Pin, s.Src)
+		} else {
+			v, _ = c.CheckStem(s.A, s.Src)
+		}
+		if v == atpg.NotPermissible {
+			confirmed.Add(1)
+		} else if failures.Add(1) <= 10 {
+			t.Errorf("%s: %v refuted by a stored vector, SAT says %v", nl.Name, s, v)
+		}
+	}
+	defer func() { vectorCheck = nil }()
+	exactnessRuns(t)
+	t.Logf("%d vector refutations confirmed by SAT", confirmed.Load())
+	if confirmed.Load() == 0 {
+		t.Errorf("no vector refutation to confirm")
 	}
 }
 

@@ -54,8 +54,8 @@ func writeRegionTable(w io.Writer, res *Result, led *obs.LedgerSummary) {
 	fmt.Fprintf(w, "## Parallel regions\n\n")
 	fmt.Fprintf(w, "- workers: %d, rounds: %d, regions: %d, proposals: %d\n",
 		par.Workers, par.Rounds, par.Regions, par.Proposals)
-	fmt.Fprintf(w, "- conflicts: %d (%d serial re-proofs), sigcache hits: %d\n",
-		par.Conflicts, par.Replays, par.SigCacheHits)
+	fmt.Fprintf(w, "- conflicts: %d (%d serial re-proofs)\n",
+		par.Conflicts, par.Replays)
 	fmt.Fprintf(w, "- worker utilization: %.1f%% of %d×%.3gs capacity, commit share %.1f%%, max barrier skew %.3gs\n",
 		100*par.BusyFrac(), par.Workers, par.ParallelSeconds,
 		100*par.CommitShare(), par.MaxBarrierSkewSeconds)

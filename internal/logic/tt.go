@@ -72,6 +72,22 @@ func (t TT) Eval(m uint) bool {
 	return t.Bits>>(m)&1 == 1
 }
 
+// Eval2Words evaluates a 2-variable table bit-parallel into out: bit b of
+// out[w] is the table's value on the minterm whose variable 0 is bit b
+// of b[w] and whose variable 1 is bit b of c[w].
+func (t TT) Eval2Words(b, c, out []uint64) {
+	// on[m] is all ones when minterm m is in the on-set.
+	var on [4]uint64
+	for m := range on {
+		if t.Eval(uint(m)) {
+			on[m] = ^uint64(0)
+		}
+	}
+	for w := range out {
+		out[w] = on[0]&^b[w]&^c[w] | on[1]&b[w]&^c[w] | on[2]&^b[w]&c[w] | on[3]&b[w]&c[w]
+	}
+}
+
 // Not returns the complement.
 func (t TT) Not() TT { return TT{N: t.N, Bits: ^t.Bits & ttMask(t.N)} }
 

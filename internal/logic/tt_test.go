@@ -57,6 +57,27 @@ func TestTTFromExprMatchesEval(t *testing.T) {
 	}
 }
 
+// TestEval2WordsMatchesEval: every bit lane of Eval2Words is Eval of the
+// lane's minterm, for all 16 two-variable tables.
+func TestEval2WordsMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	b := []uint64{rng.Uint64(), rng.Uint64()}
+	c := []uint64{rng.Uint64(), rng.Uint64()}
+	out := make([]uint64, len(b))
+	for bits := uint64(0); bits < 16; bits++ {
+		tt := TT{N: 2, Bits: bits}
+		tt.Eval2Words(b, c, out)
+		for w := range out {
+			for lane := 0; lane < 64; lane++ {
+				m := uint(b[w]>>lane&1 | c[w]>>lane&1<<1)
+				if got := out[w]>>lane&1 == 1; got != tt.Eval(m) {
+					t.Fatalf("table %v word %d lane %d: %v, Eval(%d) %v", tt, w, lane, got, m, tt.Eval(m))
+				}
+			}
+		}
+	}
+}
+
 func randomExpr(rng *rand.Rand, n, depth int) *Expr {
 	if depth == 0 || rng.Intn(3) == 0 {
 		return Var(rng.Intn(n))

@@ -1,7 +1,6 @@
 package transform
 
 import (
-	"powder/internal/logic"
 	"powder/internal/netlist"
 	"powder/internal/power"
 )
@@ -105,7 +104,7 @@ func (an *Analyzer) newGateTransitionProb(s *Substitution) float64 {
 	b, c := s.Src.B, s.Src.C
 	n, nb, nc := sm.NumVectors(), sm.Ones(b), sm.Ones(c)
 	nbc := sm.CountOnesAnd(sm.Value(b), sm.Value(c))
-	// Minterm m of eval2TT: bit 0 is B, bit 1 is C.
+	// Minterm m of Eval2Words: bit 0 is B, bit 1 is C.
 	minterms := [4]int{n - nb - nc + nbc, nb - nbc, nc - nbc, nbc}
 	ones := 0
 	for m, k := range minterms {
@@ -158,7 +157,7 @@ func (an *Analyzer) sourceWords(s *Substitution) []uint64 {
 	out := an.buffer(&an.src)
 	switch {
 	case s.Src.IsThree():
-		eval2TT(s.Src.Gate, bw, sm.Value(s.Src.C), out)
+		s.Src.Gate.Eval2Words(bw, sm.Value(s.Src.C), out)
 	case s.Src.InvertB:
 		for w := range bw {
 			out[w] = ^bw[w]
@@ -175,19 +174,4 @@ func (an *Analyzer) buffer(buf *[]uint64) []uint64 {
 		*buf = make([]uint64, w)
 	}
 	return *buf
-}
-
-// eval2TT evaluates a 2-variable truth table bit-parallel into out.
-func eval2TT(tt logic.TT, b, c, out []uint64) {
-	// on[m] is all ones when minterm m (bit 0 = b, bit 1 = c) is in the
-	// on-set.
-	var on [4]uint64
-	for m := range on {
-		if tt.Eval(uint(m)) {
-			on[m] = ^uint64(0)
-		}
-	}
-	for w := range out {
-		out[w] = on[0]&^b[w]&^c[w] | on[1]&b[w]&^c[w] | on[2]&^b[w]&c[w] | on[3]&b[w]&c[w]
-	}
 }
