@@ -27,7 +27,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -575,63 +574,6 @@ func poSignatures(pm *power.Model, nl *netlist.Netlist) []uint64 {
 		}
 	}
 	return sig
-}
-
-// partialSelectByGainAB moves the k highest-GainAB candidates to the
-// front, leaving the slice exactly as k steps of selection sort would:
-// step i swaps position i with the first position j >= i holding the
-// largest gain. Later picks break gain ties by position, so the whole
-// permutation matters, not just the first k.
-//
-// Only positions below k and candidates whose gain is at least the k-th
-// largest gain take part in those swaps: every pick has such a gain, and
-// each swap moves a candidate between two such positions. So one pass
-// finds that threshold, noting on the way every position whose gain
-// reached the running k-th largest (a superset of those in play), and
-// the swaps are replayed over the positions in play. A NaN gain is never
-// picked (no comparison with it holds), so it stays out of the threshold
-// too.
-func partialSelectByGainAB(cands []*transform.Substitution, k int) {
-	k = min(k, len(cands))
-	if k <= 0 {
-		return
-	}
-	top := make([]float64, 0, k+1) // the k largest gains so far, ascending
-	var seen []int
-	for j, s := range cands {
-		g := s.GainAB
-		if g != g || (len(top) == k && g < top[0]) {
-			continue
-		}
-		seen = append(seen, j)
-		i, _ := slices.BinarySearch(top, g)
-		top = slices.Insert(top, i, g)
-		if len(top) > k {
-			copy(top, top[1:])
-			top = top[:k]
-		}
-	}
-	if len(top) == 0 {
-		return
-	}
-	pos := make([]int, k, k+len(seen))
-	for i := range pos {
-		pos[i] = i
-	}
-	for _, j := range seen {
-		if j >= k && cands[j].GainAB >= top[0] {
-			pos = append(pos, j)
-		}
-	}
-	for i := 0; i < k; i++ {
-		maxJ := i
-		for _, j := range pos[i+1:] { // pos[i] == i
-			if cands[j].GainAB > cands[maxJ].GainAB {
-				maxJ = j
-			}
-		}
-		cands[i], cands[maxJ] = cands[maxJ], cands[i]
-	}
 }
 
 // candidateValid re-checks a candidate against the current netlist state:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -148,6 +149,53 @@ func TestLedgerRecordsProofsAndRejects(t *testing.T) {
 		}
 		if r.Region != 0 {
 			t.Errorf("reject entry %d of a one-region run carries region %d", r.Seq, r.Region)
+		}
+	}
+}
+
+// TestLedgerMarksVectorRefutations pins that the ledger marks a proof a
+// stored counterexample vector refuted, and not a SAT refutation: the
+// marked proofs are exactly the run's vector refutations, the unmarked
+// refuted ones exactly its SAT refutations, and the mark is written as
+// "vector_refuted" only where it is set.
+func TestLedgerMarksVectorRefutations(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		res, err := Optimize(compileBenchmark(t, "comp"), Options{
+			Parallelism: par,
+			Power:       powerOptsSmall(),
+			Transform:   transform.Config{AllowInverted: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var byVector, bySAT []*obs.LedgerProof
+		for _, a := range slices.Concat(res.Ledger.Moves, res.Ledger.Rejects) {
+			switch {
+			case a.Proof == nil:
+			case a.Proof.VectorRefuted:
+				if a.Reason != RejectRefuted {
+					t.Errorf("-par %d: %s %s %s is marked vector-refuted but %s %s", par, a.Kind, a.Target, a.Source, a.Outcome, a.Reason)
+				}
+				byVector = append(byVector, a.Proof)
+			case a.Reason == RejectRefuted:
+				bySAT = append(bySAT, a.Proof)
+			}
+		}
+		cs := res.CheckStats
+		if len(byVector) != cs.VectorRefuted || len(bySAT) != cs.Refuted-cs.VectorRefuted {
+			t.Errorf("-par %d: the ledger marks %d refutations and leaves %d unmarked; the checkers refuted %d by a vector and %d by SAT",
+				par, len(byVector), len(bySAT), cs.VectorRefuted, cs.Refuted-cs.VectorRefuted)
+		}
+		if len(byVector) == 0 || len(bySAT) == 0 {
+			t.Fatalf("-par %d: %d vector and %d SAT refutations; the run cannot tell them apart", par, len(byVector), len(bySAT))
+		}
+		t.Logf("-par %d: %d vector and %d SAT refutations", par, len(byVector), len(bySAT))
+		// A struct of plain fields always marshals.
+		if b, _ := json.Marshal(byVector[0]); !strings.Contains(string(b), `"vector_refuted":true`) {
+			t.Errorf("-par %d: a vector refutation written as %s", par, b)
+		}
+		if b, _ := json.Marshal(bySAT[0]); strings.Contains(string(b), "vector_refuted") {
+			t.Errorf("-par %d: a SAT refutation written as %s", par, b)
 		}
 	}
 }

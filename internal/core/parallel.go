@@ -468,13 +468,15 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 	// analyzes only the candidates new to its top K.
 	analyzed := make(map[*transform.Substitution]bool, min(opts.PreselectK, len(cands)))
 	analyzedAt := replica.Version()
-	for repeat := opts.Repeat; repeat > 0 && len(cands) > 0 && ctx.Err() == nil; {
+	pl := &pool{k: opts.PreselectK}
+	pl.load(cands)
+	for repeat := opts.Repeat; repeat > 0 && len(pl.seq()) > 0 && ctx.Err() == nil; {
 		// Pre-selection: the best PG_A+PG_B candidates (cheap), then PG_C
 		// reestimation only for those (paper Section 3.5). Every pooled
 		// candidate is valid: the harvest emits only valid ones, and the
 		// refresh after each apply or rollback keeps exactly those.
-		k := min(opts.PreselectK, len(cands))
-		phase(wctx, "preselect", func() { partialSelectByGainAB(cands, k) })
+		var top []*transform.Substitution
+		phase(wctx, "preselect", func() { top = pl.pick() })
 		var best *transform.Substitution
 		bestIdx := -1
 		phase(wctx, "pgc-reestimate", func() {
@@ -482,7 +484,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 				clear(analyzed)
 				analyzedAt = v
 			}
-			for i, s := range cands[:k] {
+			for i, s := range top {
 				if !analyzed[s] {
 					an.AnalyzeC(s)
 				} else if gainCCheck != nil {
@@ -493,7 +495,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 				}
 			}
 			clear(analyzed)
-			for _, s := range cands[:k] {
+			for _, s := range top {
 				analyzed[s] = true
 			}
 		})
@@ -508,7 +510,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 			break
 		}
 		// Drop the candidate from the pool whatever happens next.
-		cands = append(cands[:bestIdx], cands[bestIdx+1:]...)
+		pl.remove(bestIdx)
 
 		// One span per selected candidate; the proof (with its SAT solves
 		// and escalation steps) nests under it.
@@ -537,7 +539,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 			// fanout lists, over which loads are summed.
 			timing = nil
 			reject(cSpan, RejectApplyConflict, best, proof)
-			phase(wctx, "ab-analysis", func() { cands = rf.rolledBack(an, cands, stale) })
+			phase(wctx, "ab-analysis", func() { pl.load(rf.rolledBack(an, pl.seq(), stale)) })
 			continue
 		}
 		txn.Commit()
@@ -562,7 +564,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		// keeps the pre-selection meaningful within the repeat window
 		// without a full re-harvest.
 		phase(wctx, "ab-analysis", func() {
-			cands = rf.refresh(an, cands, pre, rewired, applyRes, changed, stale)
+			pl.load(rf.refresh(an, pl.seq(), pre, rewired, applyRes, changed, stale))
 		})
 	}
 	wSpan.SetAttr("proposals", len(rep.proposals))
@@ -883,6 +885,7 @@ func (p *prover) prove(ctx context.Context, s *transform.Substitution) (atpg.Ver
 		proof.Decisions += d.Decisions
 		proof.Seconds += d.Seconds
 		proof.Budget = d.Budget
+		proof.VectorRefuted = d.VectorRefuted
 		p.proofs++
 		if h := r.opts.Inject; h != nil && h.ForceAbort != nil && h.ForceAbort(p.proofs) {
 			verdict = atpg.Aborted

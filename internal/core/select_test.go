@@ -26,7 +26,7 @@ func TestPartialSelectByGainAB(t *testing.T) {
 			want[i] = g
 		}
 
-		partialSelectByGainAB(cands, k)
+		new(pool).partialSelectByGainAB(cands, k)
 
 		got := make([]float64, n)
 		for i, s := range cands {
@@ -91,7 +91,7 @@ func TestPartialSelectMatchesSelectionSort(t *testing.T) {
 				got[i] = &transform.Substitution{GainAB: g}
 				want[i] = got[i]
 			}
-			partialSelectByGainAB(got, k)
+			new(pool).partialSelectByGainAB(got, k)
 			selectionSortGainAB(want, k)
 			for i := range got {
 				if got[i] != want[i] {
@@ -104,9 +104,10 @@ func TestPartialSelectMatchesSelectionSort(t *testing.T) {
 }
 
 func TestPartialSelectByGainABEmpty(t *testing.T) {
-	partialSelectByGainAB(nil, 0) // must not panic
+	var p pool
+	p.partialSelectByGainAB(nil, 0) // must not panic
 	one := []*transform.Substitution{{GainAB: 1}}
-	partialSelectByGainAB(one, 1)
+	p.partialSelectByGainAB(one, 1)
 	if one[0].GainAB != 1 {
 		t.Fatal("single-element slice mangled")
 	}

@@ -35,6 +35,9 @@ type LedgerProof struct {
 	Budget int64 `json:"budget,omitempty"`
 	// Escalations counts budget-escalated retries beyond the first proof.
 	Escalations int `json:"escalations,omitempty"`
+	// VectorRefuted marks a refutation by a stored counterexample vector,
+	// which ran no SAT search.
+	VectorRefuted bool `json:"vector_refuted,omitempty"`
 }
 
 // LedgerNodeDelta is one node's share of an applied attempt's realized
