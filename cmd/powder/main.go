@@ -42,7 +42,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -232,19 +231,8 @@ func verboseSink(w io.Writer) obs.Sink {
 	})
 }
 
-// coreInputNames lists the optimization core's input names: true primary
-// inputs followed by latch outputs (the register-cut pseudo-inputs).
-func coreInputNames(circ *seq.Circuit) []string {
-	core := circ.Core()
-	names := make([]string, 0, len(core.Inputs()))
-	for _, id := range core.Inputs() {
-		names = append(names, core.Node(id).Name())
-	}
-	return names
-}
-
 // loadActivity ingests the -activity dump, applies the -activity-clock
-// renormalization, and binds it onto the core's input names, reporting
+// renormalization, and binds it onto the circuit's core inputs, reporting
 // coverage to stderr. Returns the binding plus the ledger label naming
 // the workload model.
 func loadActivity(cfg config, circ *seq.Circuit, stderr io.Writer) (*activity.Binding, string, error) {
@@ -262,19 +250,12 @@ func loadActivity(cfg config, circ *seq.Circuit, stderr io.Writer) (*activity.Bi
 			return nil, "", err
 		}
 	}
-	b, err := prof.Bind(coreInputNames(circ))
+	b, label, err := circ.BindActivity(prof, cfg.activityPath)
 	if err != nil {
 		return nil, "", err
 	}
-	if b.MatchedCount == 0 {
-		// A dump from the wrong design must fail loudly, not silently run
-		// the uniform assumption it was supposed to replace.
-		return nil, "", fmt.Errorf("activity: %s matched none of the circuit's %d inputs (profile signals: %d)",
-			cfg.activityPath, len(b.Names), len(prof.Signals))
-	}
 	fmt.Fprintf(stderr, "activity: %s (%s, %d signals, %d ignored, %d cycles): %s\n",
 		cfg.activityPath, prof.Source, len(prof.Signals), prof.Ignored, prof.Cycles, b.Coverage())
-	label := fmt.Sprintf("%s sha256:%.12s %s", filepath.Base(cfg.activityPath), prof.Digest(), b.Coverage())
 	return b, label, nil
 }
 
@@ -490,48 +471,27 @@ func run(ctx context.Context, cfg config, stdout, stderr io.Writer) error {
 		original = nl.Clone()
 	}
 
-	var res *core.Result
 	if circ.Model.Sequential() {
 		fmt.Fprintf(stderr, "sequential circuit: %d latches, cutting at the register boundary\n", circ.NumLatches())
-		sopts := seq.Options{
-			Core: opts,
-			Fixpoint: seq.FixpointOptions{
-				Tol:        cfg.fixTol,
-				MaxIter:    cfg.fixMaxIter,
-				Damping:    cfg.fixDamping,
-				InputProbs: inputProbs,
-			},
-		}
-		if binding != nil {
-			sopts.Activity = &seq.ActivityOverride{
-				Probs:   binding.Probs,
-				Toggles: binding.Toggles,
-				Matched: binding.Matched,
-			}
-		}
-		sres, err := seq.OptimizeCtx(ctx, circ, sopts)
-		seq.RecordMetrics(reg, sres, err)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "steady-state fixpoint: %d iterations, residual %.3g\n",
-			sres.Fixpoint.Iterations, sres.Fixpoint.Residual)
-		res = sres.Core
-	} else {
-		if inputProbs != nil {
-			opts.Power.InputProbs = inputProbs
-		}
-		if binding != nil {
-			opts.Power.InputProbs = binding.Probs
-			opts.Power.InputToggles = binding.Toggles
-		}
-		var err error
-		res, err = core.OptimizeCtx(ctx, nl, opts)
-		core.RecordMetrics(reg, res)
-		if err != nil {
-			return err
-		}
 	}
+	sres, err := seq.OptimizeCtx(ctx, circ, seq.Options{
+		Core: opts,
+		Fixpoint: seq.FixpointOptions{
+			Tol:        cfg.fixTol,
+			MaxIter:    cfg.fixMaxIter,
+			Damping:    cfg.fixDamping,
+			InputProbs: inputProbs,
+		},
+		Activity: binding,
+	})
+	seq.RecordMetrics(reg, sres, err)
+	if err != nil {
+		return err
+	}
+	if fp := sres.Fixpoint; fp != nil {
+		fmt.Fprintf(stderr, "steady-state fixpoint: %d iterations, residual %.3g\n", fp.Iterations, fp.Residual)
+	}
+	res := sres.Core
 
 	// The final metrics block: phase breakdown plus the registry snapshot,
 	// emitted as the last JSONL record and/or printed to stderr.

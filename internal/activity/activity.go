@@ -185,6 +185,13 @@ func (b *Binding) Coverage() string {
 	return s
 }
 
+// Label names the workload of a binding of p in a run ledger:
+// "<source> sha256:<first 12 hex digits of p.Digest()> <coverage>".
+// source names the dump, by its file name or its format.
+func (b *Binding) Label(source string, p *Profile) string {
+	return fmt.Sprintf("%s sha256:%.12s %s", source, p.Digest(), b.Coverage())
+}
+
 // unescape strips one leading backslash — the escape prefix BLIF, VCD,
 // and SAIF all use for identifiers with unusual characters.
 func unescape(name string) string {

@@ -245,7 +245,7 @@ type Result struct {
 	// workers overlap theirs when Parallelism > 1.
 	Phases obs.Phases
 	// Rejects counts discarded candidates by reason code (the Reject*
-	// constants).
+	// constants); it is the map Ledger.Rejected.
 	Rejects map[string]int
 	// Stopped is why the run ended (StopCompleted for a full run).
 	Stopped StopReason
@@ -411,7 +411,6 @@ func OptimizeCtx(ctx context.Context, nl *netlist.Netlist, opts Options) (res *R
 		ByClass: map[transform.Kind]*ClassStats{
 			transform.OS2: {}, transform.IS2: {}, transform.OS3: {}, transform.IS3: {},
 		},
-		Rejects: map[string]int{},
 		Stopped: StopCompleted,
 	}
 	r := &run{

@@ -90,7 +90,6 @@ type workerReport struct {
 	proposals  []proposal
 	rejected   []rejection
 	candidates int
-	rejects    map[string]int // count-only rejects (stale refreshes)
 	stats      atpg.CheckStats
 	// vectors are the counterexamples the worker's proofs found.
 	vectors [][]bool
@@ -185,9 +184,13 @@ func (r *run) reportProgress(done bool) {
 
 // seal ends the run's root span, which carries the run summary, and
 // stamps the closing results: wall time, the span self-time table, and
-// the ledger totals under the run's activity model.
+// the ledger totals under the run's activity model. The ledger counts
+// every reject, so Result.Rejects is its Rejected map.
 func (r *run) seal(start time.Time) {
 	res, sp := r.res, r.span
+	res.Ledger = r.led.Summary()
+	res.Ledger.Activity = r.opts.Activity
+	res.Rejects = res.Ledger.Rejected
 	sp.SetAttr("applied", res.Applied)
 	sp.SetAttr("harvests", res.Harvests)
 	sp.SetAttr("candidates", res.Candidates)
@@ -203,10 +206,8 @@ func (r *run) seal(start time.Time) {
 		sp.SetAttr("replays", par.Replays)
 	}
 	sp.End()
-	r.res.Runtime = time.Since(start)
-	r.res.Phases = r.span.Phases()
-	r.res.Ledger = r.led.Summary()
-	r.res.Ledger.Activity = r.opts.Activity
+	res.Runtime = time.Since(start)
+	res.Phases = sp.Phases()
 }
 
 // attempt is the ledger entry of a selected candidate before its
@@ -247,12 +248,11 @@ func endCandidate(sp *trace.Span, outcome string) {
 	sp.End()
 }
 
-// reject discards a selected candidate: the reason count and a ledger
-// provenance entry with the proof record when the candidate reached the
-// prover. Only the commit phase calls it; the candidate's span carries
-// the reason as its outcome.
+// reject discards a selected candidate: a ledger provenance entry,
+// which also counts the reason, with the proof record when the candidate
+// reached the prover. Only the commit phase calls it; the candidate's
+// span carries the reason as its outcome.
 func (r *run) reject(reason string, region int, s *transform.Substitution, proof *obs.LedgerProof) {
-	r.res.Rejects[reason]++
 	a := r.attempt(s, region, proof)
 	a.Outcome, a.Reason = obs.LedgerRejected, reason
 	r.led.Record(a)
@@ -292,9 +292,6 @@ func (r *run) round(ctx context.Context, round int) bool {
 		}
 		roundCandidates += rep.candidates
 		roundProposals += len(rep.proposals)
-		for reason, n := range rep.rejects {
-			res.Rejects[reason] += n
-		}
 		addCheckStats(&res.CheckStats, rep.stats)
 		r.prover.vectors = append(r.prover.vectors, rep.vectors...)
 		res.Escalation.Retries += rep.escal.Retries
@@ -401,7 +398,7 @@ func (r *run) runWorkers(ctx context.Context, rSpan *trace.Span, d *partition.De
 // returning the applied substitutions as proposals for the commit phase.
 // It never touches the master netlist; a panic is handed to the round.
 func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region, retries int) (rep *workerReport) {
-	rep = &workerReport{region: region, rejects: map[string]int{}, retries: retries, start: time.Now()}
+	rep = &workerReport{region: region, retries: retries, start: time.Now()}
 	defer func() {
 		if p := recover(); p != nil {
 			rep.err = fmt.Errorf("region %d worker panic: %v", region, p)
@@ -458,10 +455,7 @@ func (r *run) runRegion(ctx context.Context, d *partition.Decomposition, region,
 		endCandidate(sp, reason)
 	}
 
-	stale := func() {
-		rep.rejects[RejectStale]++
-		r.led.CountReject(RejectStale)
-	}
+	stale := func() { r.led.CountReject(RejectStale) }
 	// analyzed holds the top K of the latest pick, whose PG_C was analyzed
 	// at replica version analyzedAt: PG_C reads nothing else, so while the
 	// replica stays at that version (the pick was rejected), the next pick

@@ -276,9 +276,8 @@ func writeNodeTable(w io.Writer, led *obs.LedgerSummary) {
 	fmt.Fprintf(w, "\n")
 }
 
-// writeRejects renders the reject-reason breakdown, preferring the exact
-// Result counters (which include pre-selection rejects the ledger never
-// sees as entries).
+// writeRejects renders the reject-reason breakdown from the exact
+// counts, which include the stale drops the ledger keeps no entry for.
 func writeRejects(w io.Writer, res *Result, led *obs.LedgerSummary) {
 	if len(res.Rejects) == 0 {
 		return

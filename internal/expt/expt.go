@@ -45,7 +45,8 @@ type RunOptions struct {
 	// measured workload: every circuit's primary inputs are bound onto
 	// the profile (case/escape-aware name matching), matched
 	// probabilities drive the power model and matched toggle densities
-	// pin E(i) at the inputs. Mutually exclusive with InputProbs.
+	// pin E(i) at the inputs. Each run's ledger names the workload.
+	// Mutually exclusive with InputProbs.
 	Activity *activity.Profile
 	// PreOptimize runs ATPG-based redundancy removal on every initial
 	// circuit before measuring it, approximating the POSE-grade (already
@@ -208,7 +209,10 @@ func compile(spec circuits.Spec, opts *RunOptions) (*netlist.Netlist, error) {
 
 // applyWorkload folds RunOptions.InputProbs / RunOptions.Activity into
 // one engine run's power options, resolving names against the compiled
-// circuit's primary inputs.
+// circuit's primary inputs. An activity run is labeled in the ledger as
+// powder and powderd label theirs, with the dump's format as its source.
+// A dump that matches none of a circuit's inputs is not an error here:
+// one dump spans a suite of different circuits.
 func (o *RunOptions) applyWorkload(nl *netlist.Netlist, copts *core.Options) error {
 	if o.InputProbs == nil && o.Activity == nil {
 		return nil
@@ -225,6 +229,7 @@ func (o *RunOptions) applyWorkload(nl *netlist.Netlist, copts *core.Options) err
 		}
 		copts.Power.InputProbs = b.Probs
 		copts.Power.InputToggles = b.Toggles
+		copts.Activity = b.Label(o.Activity.Source, o.Activity)
 		return nil
 	}
 	probs := make([]float64, len(names))

@@ -4,125 +4,125 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
+	"path/filepath"
 
-	"powder/internal/blif"
+	"powder/internal/activity"
 	"powder/internal/core"
 	"powder/internal/obs"
 )
 
-// Options configures a sequential optimization run.
+// Options configures an optimization run.
 type Options struct {
-	// Core configures the combinational engine run on the core.
-	// Core.Power.InputProbs is overwritten with the converged steady-state
-	// vector (true-input probabilities followed by state-line
-	// probabilities).
+	// Core configures the combinational engine run on the core. With
+	// latches, Core.Power.InputProbs is overwritten with the converged
+	// steady-state vector (true-input probabilities followed by
+	// state-line probabilities).
 	Core core.Options
 	// Fixpoint configures the steady-state probability iteration.
 	// Fixpoint.InputProbs carries the per-primary-input probabilities
-	// (e.g. from a -probs file).
+	// (e.g. from a -probs file); a latch-free circuit runs under them
+	// directly.
 	Fixpoint FixpointOptions
-	// Activity, when non-nil, folds a measured workload activity binding
-	// into the run: matched true-input probabilities seed the fixpoint,
-	// matched state-line probabilities override the converged values
-	// (the dump observed the real state distribution — trust it over the
-	// model), and the toggle densities pin E(i) across the register cut.
-	Activity *ActivityOverride
+	// Activity, when non-nil, is a workload binding over the core inputs
+	// (see BindActivity) and replaces Fixpoint.InputProbs: its
+	// probabilities drive the power model and its toggle densities pin
+	// E(i). With latches, the true-input probabilities seed the fixpoint
+	// and matched state-line probabilities override the converged
+	// values: the dump observed the real state distribution, so it is
+	// trusted over the model.
+	Activity *activity.Binding
 }
 
-// ActivityOverride carries a workload activity binding over the core
-// inputs — true primary inputs followed by state lines, in
-// Core().Inputs() order (the order activity.Profile.Bind produces when
-// given the core input names).
-type ActivityOverride struct {
-	// Probs is the per-core-input signal probability.
-	Probs []float64
-	// Toggles is the per-core-input transition density (NaN = unpinned),
-	// passed through to power.Options.InputToggles.
-	Toggles []float64
-	// Matched flags which entries were actually observed in the dump;
-	// unmatched entries defer to the fixpoint / uniform defaults.
-	Matched []bool
-}
-
-// apply folds the override into the run options before the fixpoint
-// (seeding matched true-input probabilities) and returns the function
-// that rewrites the converged core vector afterwards.
-func (a *ActivityOverride) apply(c *Circuit, opts *Options) (func(core []float64) []float64, error) {
-	nIn := c.Model.NumInputs
-	nCore := nIn + len(c.Model.Latches)
-	if len(a.Probs) != nCore || len(a.Toggles) != nCore || len(a.Matched) != nCore {
-		return nil, fmt.Errorf("seq: activity override covers %d/%d/%d entries for %d core inputs",
-			len(a.Probs), len(a.Toggles), len(a.Matched), nCore)
+// BindActivity binds a workload activity profile onto the core inputs
+// (true primary inputs followed by state lines, the layout
+// Options.Activity expects) and returns the binding with its ledger
+// label (activity.Binding.Label). source names the dump in errors, and
+// its last path element names it in the label: a file path labels the
+// ledger by file name, a format name ("vcd") by itself. A dump that
+// matches none of the inputs is an error: a dump from the wrong design
+// must fail loudly, not silently run the uniform assumption it was
+// supposed to replace.
+func (c *Circuit) BindActivity(prof *activity.Profile, source string) (*activity.Binding, string, error) {
+	nl := c.Core()
+	names := make([]string, len(nl.Inputs()))
+	for i, id := range nl.Inputs() {
+		names[i] = nl.Node(id).Name()
 	}
-	// Clone before seeding — the caller's -probs vector must not mutate.
-	seed := make([]float64, nIn)
-	for j := range seed {
-		seed[j] = 0.5
+	b, err := prof.Bind(names)
+	if err != nil {
+		return nil, "", err
 	}
-	copy(seed, opts.Fixpoint.InputProbs)
-	for i := 0; i < nIn; i++ {
-		if a.Matched[i] {
-			seed[i] = a.Probs[i]
-		}
+	if b.MatchedCount == 0 {
+		return nil, "", fmt.Errorf("activity: %s matched none of the circuit's %d inputs (profile signals: %d)",
+			source, len(b.Names), len(prof.Signals))
 	}
-	opts.Fixpoint.InputProbs = seed
-	opts.Core.Power.InputToggles = a.Toggles
-	return func(core []float64) []float64 {
-		for i := nIn; i < nCore; i++ {
-			if a.Matched[i] {
-				core[i] = a.Probs[i]
-			}
-		}
-		return core
-	}, nil
+	return b, b.Label(filepath.Base(source), prof), nil
 }
 
 // Result bundles the fixpoint that seeded the run with the core
 // engine's result.
 type Result struct {
-	// Fixpoint is the converged steady state used for power estimation.
+	// Fixpoint is the converged steady state used for power estimation;
+	// nil for a latch-free circuit, which has no state to iterate.
 	Fixpoint *FixpointResult
 	// Core is the combinational engine's result on the register-cut core;
-	// its power numbers are under the converged state probabilities.
+	// with latches, its power numbers are under the converged state
+	// probabilities.
 	Core *core.Result
 }
 
-// Optimize runs the POWDER engine on a sequential circuit. See
-// OptimizeCtx.
+// Optimize runs the POWDER engine on a circuit. See OptimizeCtx.
 func Optimize(c *Circuit, opts Options) (*Result, error) {
 	return OptimizeCtx(context.Background(), c, opts)
 }
 
-// OptimizeCtx computes the steady-state signal probabilities of the
-// state lines, seeds the power model with them, and optimizes the
-// combinational core in place. Permissibility is judged at the register
-// cut: latch inputs are primary outputs of the core, so the engine's ATPG
-// proofs guarantee the next-state and output functions — and therefore
-// the state transition structure — are preserved, with no sequential
-// reasoning needed. The caller's Circuit still holds the cut afterwards;
-// write it with blif.WriteModel to stitch the latches back.
+// OptimizeCtx optimizes the circuit's combinational core in place; it is
+// the one engine entry for circuits with and without latches.
+//
+// A latch-free circuit runs core.OptimizeCtx on the caller's workload as
+// given and gets a nil Result.Fixpoint. Without Fixpoint.InputProbs or
+// Activity its probabilities stay nil, so the power model keeps its
+// uniform default (exhaustive simulation on a small circuit).
+//
+// With latches, OptimizeCtx first computes the steady-state signal
+// probabilities of the state lines and seeds the power model with them.
+// Permissibility is judged at the register cut: latch inputs are primary
+// outputs of the core, so the engine's ATPG proofs guarantee the
+// next-state and output functions — and therefore the state transition
+// structure — are preserved, with no sequential reasoning needed. The
+// caller's Circuit still holds the cut afterwards; write it with
+// blif.WriteModel to stitch the latches back.
 func OptimizeCtx(ctx context.Context, c *Circuit, opts Options) (*Result, error) {
-	var override func([]float64) []float64
-	if opts.Activity != nil {
+	nIn, pw := c.Model.NumInputs, &opts.Core.Power
+	if b := opts.Activity; b != nil {
+		if n := len(c.Core().Inputs()); len(b.Probs) != n {
+			return nil, fmt.Errorf("seq: activity binding covers %d entries for %d core inputs", len(b.Probs), n)
+		}
+		opts.Fixpoint.InputProbs = b.Probs[:nIn]
+		pw.InputToggles = b.Toggles
+	}
+	var fp *FixpointResult
+	if c.NumLatches() == 0 {
+		if opts.Fixpoint.InputProbs != nil {
+			pw.InputProbs = opts.Fixpoint.InputProbs
+		}
+	} else {
 		var err error
-		override, err = opts.Activity.apply(c, &opts)
-		if err != nil {
+		if fp, err = SteadyStateCtx(ctx, c, opts.Fixpoint); err != nil {
 			return nil, err
 		}
+		// Even an all-0.5 vector is passed explicitly: it forces the power
+		// model onto biased random vectors, keeping estimates comparable
+		// across circuits of the same family regardless of input count.
+		pw.InputProbs = fp.CoreInputProbs()
+		if b := opts.Activity; b != nil {
+			for i := nIn; i < len(b.Probs); i++ {
+				if b.Matched[i] {
+					pw.InputProbs[i] = b.Probs[i]
+				}
+			}
+		}
 	}
-	fp, err := SteadyStateCtx(ctx, c, opts.Fixpoint)
-	if err != nil {
-		return nil, err
-	}
-	// Even an all-0.5 vector is passed explicitly: it forces the power
-	// model onto biased random vectors, keeping estimates comparable
-	// across circuits of the same family regardless of input count.
-	coreProbs := fp.CoreInputProbs()
-	if override != nil {
-		coreProbs = override(coreProbs)
-	}
-	opts.Core.Power.InputProbs = coreProbs
 	res, err := core.OptimizeCtx(ctx, c.Core(), opts.Core)
 	if res == nil {
 		return nil, err
@@ -135,9 +135,10 @@ func OptimizeCtx(ctx context.Context, c *Circuit, opts Options) (*Result, error)
 // RecordMetrics folds one OptimizeCtx call into reg: the fixpoint
 // outcome, then the core run through core.RecordMetrics. res and err are
 // the call's returns. A fixpoint that failed with ErrDiverged counts
-// seq.fixpoint.diverged; a converged one over at least one latch counts
-// seq.fixpoint.converged and observes its iteration count in
-// seq.fixpoint.iterations. A nil registry records nothing.
+// seq.fixpoint.diverged; a converged one counts seq.fixpoint.converged
+// and observes its iteration count in seq.fixpoint.iterations. A
+// latch-free run has no fixpoint and folds only its core result. A nil
+// registry records nothing.
 func RecordMetrics(reg *obs.Registry, res *Result, err error) {
 	if errors.Is(err, ErrDiverged) {
 		reg.Counter("seq.fixpoint.diverged").Inc()
@@ -145,15 +146,9 @@ func RecordMetrics(reg *obs.Registry, res *Result, err error) {
 	if res == nil {
 		return
 	}
-	if fp := res.Fixpoint; len(fp.StateProbs) > 0 {
+	if fp := res.Fixpoint; fp != nil {
 		reg.Counter("seq.fixpoint.converged").Inc()
 		reg.Histogram("seq.fixpoint.iterations").Observe(float64(fp.Iterations))
 	}
 	core.RecordMetrics(reg, res.Core)
-}
-
-// WriteBLIF writes the optimized sequential circuit; it exists so callers
-// need not import blif alongside seq.
-func (c *Circuit) WriteBLIF(w io.Writer) error {
-	return blif.WriteModel(w, c.Model)
 }

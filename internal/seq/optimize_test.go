@@ -3,15 +3,32 @@ package seq
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"powder/internal/activity"
 	"powder/internal/atpg"
 	"powder/internal/blif"
 	"powder/internal/cellib"
 	"powder/internal/core"
 	"powder/internal/obs"
+	"powder/internal/power"
 )
+
+// maj3 is a latch-free circuit whose inputs share no name with
+// redundant2's.
+const maj3 = `
+.model maj3
+.inputs a b c
+.outputs y
+.gate and2 a=a b=b O=ab
+.gate and2 a=a b=c O=ac
+.gate and2 a=b b=c O=bc
+.gate or2 a=ab b=ac O=t
+.gate or2 a=t b=bc O=y
+.end
+`
 
 // redundant2 is a sequential circuit whose next-state cone contains
 // redundancy (n0 recomputes q0∧en twice), giving the optimizer room to
@@ -57,7 +74,7 @@ func TestOptimizeSequential(t *testing.T) {
 
 	// The result must still write as valid sequential BLIF and round-trip.
 	var buf bytes.Buffer
-	if err := c.WriteBLIF(&buf); err != nil {
+	if err := blif.WriteModel(&buf, c.Model); err != nil {
 		t.Fatal(err)
 	}
 	back, err := blif.ReadModel(bytes.NewReader(buf.Bytes()), cellib.Lib2())
@@ -145,19 +162,19 @@ func TestOptimizeRespectsCoreOptions(t *testing.T) {
 	}
 }
 
-func TestOptimizeWithActivityOverride(t *testing.T) {
+func TestOptimizeWithActivityBinding(t *testing.T) {
 	// Core inputs of redundant2: en, then state lines q0, q1. The
-	// override pins en's probability (seeding the fixpoint), asserts the
+	// binding pins en's probability (seeding the fixpoint), asserts the
 	// observed q1 distribution over the converged one, and pins toggle
 	// densities across the cut.
 	c := mustCircuit(t, redundant2)
 	nan := math.NaN()
-	ov := &ActivityOverride{
+	b := &activity.Binding{
 		Probs:   []float64{0.9, 0.5, 0.25},
 		Toggles: []float64{0.18, nan, 0.375},
 		Matched: []bool{true, false, true},
 	}
-	res, err := Optimize(c, Options{Activity: ov})
+	res, err := Optimize(c, Options{Activity: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +191,85 @@ func TestOptimizeWithActivityOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Core.Initial.Power == uniform.Core.Initial.Power {
-		t.Fatal("activity override did not change the initial estimate")
+		t.Fatal("activity binding did not change the initial estimate")
 	}
 
 	// Length mismatch is an explicit error, not a silent partial bind.
-	short := &ActivityOverride{Probs: []float64{0.5}, Toggles: []float64{nan}, Matched: []bool{true}}
+	short := &activity.Binding{Probs: []float64{0.5}, Toggles: []float64{nan}, Matched: []bool{true}}
 	if _, err := Optimize(mustCircuit(t, redundant2), Options{Activity: short}); err == nil {
-		t.Fatal("short override accepted")
+		t.Fatal("short binding accepted")
 	} else if !strings.Contains(err.Error(), "core inputs") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestOptimizeLatchFree pins the latch-free entry: no fixpoint, and the
+// engine runs on the caller's workload exactly as core.OptimizeCtx would
+// — nil probabilities stay nil, so a small circuit keeps exhaustive
+// simulation, and given ones pass through unchanged.
+func TestOptimizeLatchFree(t *testing.T) {
+	for _, probs := range [][]float64{nil, {0.9, 0.2, 0.5}} {
+		c := mustCircuit(t, maj3)
+		direct := c.Core().Clone()
+		res, err := Optimize(c, Options{Fixpoint: FixpointOptions{InputProbs: probs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fixpoint != nil {
+			t.Fatalf("latch-free run has a fixpoint: %+v", res.Fixpoint)
+		}
+		want, err := core.Optimize(direct, core.Options{Power: power.Options{InputProbs: probs}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Core.Initial.Power != want.Initial.Power || res.Core.Final.Power != want.Final.Power ||
+			res.Core.Applied != want.Applied {
+			t.Errorf("probs %v: seq run %.6f -> %.6f (%d applied), core run %.6f -> %.6f (%d applied)", probs,
+				res.Core.Initial.Power, res.Core.Final.Power, res.Core.Applied,
+				want.Initial.Power, want.Final.Power, want.Applied)
+		}
+
+		reg := obs.NewRegistry()
+		RecordMetrics(reg, res, err)
+		snap := reg.Snapshot()
+		if _, ok := snap.Counters["seq.fixpoint.converged"]; ok {
+			t.Error("latch-free run counted a converged fixpoint")
+		}
+		if got := snap.Counters["core.applied"]; got != int64(res.Core.Applied) {
+			t.Errorf("core.applied = %d, want %d", got, res.Core.Applied)
+		}
+	}
+}
+
+// TestBindActivity pins the one activity binding: core-input order
+// (true inputs, then state lines), the ledger label, and the loud
+// failure of a dump that matches no input.
+func TestBindActivity(t *testing.T) {
+	c := mustCircuit(t, redundant2)
+	var vcd bytes.Buffer
+	if _, err := activity.DumpVCD(&vcd, c.Core(), activity.DumpOptions{Words: 2, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	prof, err := activity.Read(bytes.NewReader(vcd.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, label, err := c.BindActivity(prof, "runs/redundant2.vcd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"en", "q0", "q1"}; !slices.Equal(b.Names, want) {
+		t.Errorf("bound names %v, want %v", b.Names, want)
+	}
+	if want := "redundant2.vcd sha256:" + prof.Digest()[:12] + " matched 3/3 inputs (100%)"; label != want {
+		t.Errorf("label %q, want %q", label, want)
+	}
+	if _, label, _ := c.BindActivity(prof, prof.Source); !strings.HasPrefix(label, "vcd sha256:") {
+		t.Errorf("format-named label %q", label)
+	}
+
+	other := mustCircuit(t, maj3)
+	if _, _, err := other.BindActivity(prof, "dump.vcd"); err == nil || !strings.Contains(err.Error(), "dump.vcd matched none") {
+		t.Fatalf("zero-match dump: err = %v", err)
 	}
 }

@@ -1,12 +1,15 @@
-// Package seq layers sequential-circuit support over the combinational
-// POWDER engine. A sequential design is modeled as its combinational core
-// cut at the register boundaries (blif.Model): latch outputs are pseudo
-// primary inputs, latch inputs pseudo primary outputs. The package adds
-// what the combinational pipeline cannot know — the signal probabilities
-// of the state lines, obtained as the steady state of the core's
-// input→next-state probability map — and an Optimize entry point that
-// runs core.OptimizeCtx on the core with the converged probabilities and
-// stitches the registers back.
+// Package seq is the front end of the POWDER engine for every circuit a
+// user submits. A design is modeled as its combinational core cut at the
+// register boundaries (blif.Model): latch outputs are pseudo primary
+// inputs, latch inputs pseudo primary outputs. The package adds what the
+// combinational pipeline cannot know — the signal probabilities of the
+// state lines, obtained as the steady state of the core's
+// input→next-state probability map — and the two decisions powder and
+// powderd share: OptimizeCtx picks the engine entry by latch count (a
+// latch-free circuit runs core.OptimizeCtx under its workload as given,
+// a sequential one under the converged probabilities, with the registers
+// stitched back on write), and BindActivity binds a workload activity
+// dump onto the core inputs and labels it for the run ledger.
 //
 // The steady-state computation is a damped Picard iteration over exact
 // zero-delay probability propagation: each gate's output probability is

@@ -1,6 +1,6 @@
 // Package service is POWDER's serving layer: a bounded worker pool, a
 // job store with queueing and backpressure, and an HTTP API (the
-// powderd daemon) that runs BLIF circuits through core.OptimizeCtx with
+// powderd daemon) that runs BLIF circuits through seq.OptimizeCtx with
 // streaming progress, cancellation, and graceful drain.
 package service
 

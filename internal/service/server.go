@@ -169,24 +169,10 @@ func (s *Service) parseSubmission(body []byte, opts JobOptions) (*submission, er
 		if perr != nil {
 			return nil, &ParseError{Err: fmt.Errorf("activity: %v", perr)}
 		}
-		coreInputs := circ.Core().Inputs()
-		names := make([]string, len(coreInputs))
-		for i, id := range coreInputs {
-			names[i] = circ.Core().Node(id).Name()
+		if sub.binding, sub.activityLabel, perr = circ.BindActivity(prof, prof.Source); perr != nil {
+			return nil, &ParseError{Err: perr}
 		}
-		b, perr := prof.Bind(names)
-		if perr != nil {
-			return nil, &ParseError{Err: fmt.Errorf("activity: %v", perr)}
-		}
-		if b.MatchedCount == 0 {
-			// A dump from the wrong design must fail loudly, not silently
-			// run the uniform assumption it was supposed to replace.
-			return nil, &ParseError{Err: fmt.Errorf("activity: dump matched none of the circuit's %d inputs (profile signals: %d)",
-				len(b.Names), len(prof.Signals))}
-		}
-		sub.binding = b
 		sub.activityDigest = prof.Digest()
-		sub.activityLabel = fmt.Sprintf("%s sha256:%.12s %s", prof.Source, sub.activityDigest, b.Coverage())
 	}
 	return sub, nil
 }
@@ -489,41 +475,17 @@ func (s *Service) optimize(ctx context.Context, j *Job) (*core.Result, error) {
 		opts.DelayFactor = 1 + j.opts.DelayLimitPct/100
 	}
 
+	// seq picks the engine entry by latch count: a sequential job runs at
+	// the register cut, under the state probabilities of its fixpoint.
+	sres, err := seq.OptimizeCtx(ctx, j.circ, seq.Options{
+		Core:     opts,
+		Fixpoint: seq.FixpointOptions{InputProbs: j.inputProbs},
+		Activity: j.binding,
+	})
+	seq.RecordMetrics(s.reg, sres, err)
 	var res *core.Result
-	var fp *seq.FixpointResult
-	var err error
-	if j.circ.Model.Sequential() {
-		// Sequential jobs run at the register cut: the fixpoint seeds the
-		// power model, the core engine sees the cut as a combinational
-		// circuit with the next-state cones anchored as outputs.
-		sopts := seq.Options{
-			Core:     opts,
-			Fixpoint: seq.FixpointOptions{InputProbs: j.inputProbs},
-		}
-		if j.binding != nil {
-			sopts.Activity = &seq.ActivityOverride{
-				Probs:   j.binding.Probs,
-				Toggles: j.binding.Toggles,
-				Matched: j.binding.Matched,
-			}
-		}
-		var sres *seq.Result
-		sres, err = seq.OptimizeCtx(ctx, j.circ, sopts)
-		seq.RecordMetrics(s.reg, sres, err)
-		if sres != nil {
-			fp = sres.Fixpoint
-			res = sres.Core
-		}
-	} else {
-		if j.inputProbs != nil {
-			opts.Power.InputProbs = j.inputProbs
-		}
-		if j.binding != nil {
-			opts.Power.InputProbs = j.binding.Probs
-			opts.Power.InputToggles = j.binding.Toggles
-		}
-		res, err = core.OptimizeCtx(ctx, j.nl, opts)
-		core.RecordMetrics(s.reg, res)
+	if sres != nil {
+		res = sres.Core
 	}
 	if res != nil && res.Ledger != nil {
 		// Publish the ledger even for failed or cancelled runs: partial
@@ -561,7 +523,7 @@ func (s *Service) optimize(ctx context.Context, j *Job) (*core.Result, error) {
 		return res, fmt.Errorf("render result: %v", werr)
 	}
 	jr := resultJSON(res, verified)
-	if fp != nil {
+	if fp := sres.Fixpoint; fp != nil {
 		jr.Latches = j.circ.NumLatches()
 		jr.FixpointIterations = fp.Iterations
 		jr.FixpointResidual = fp.Residual

@@ -4,8 +4,9 @@
 // activity model without optimizing it. With no dump the uniform
 // assumption (p = 0.5 everywhere, independence toggles) is used; with a
 // VCD or SAIF dump the matched inputs drive the probabilities and pin
-// the measured transition densities — the same binding powder -activity
-// applies before a run. EXPERIMENTS.md uses it to cross-evaluate the
+// the measured transition densities — the binding powder -activity
+// applies before a run (seq.BindActivity), so a dump that matches no
+// input fails. EXPERIMENTS.md uses it to cross-evaluate the
 // uniform-optimized and workload-optimized netlists under both models.
 //
 // Usage: go run scripts/cross_eval.go mapped.blif [activity.vcd|.saif]
@@ -19,6 +20,7 @@ import (
 	"powder/internal/blif"
 	"powder/internal/cellib"
 	"powder/internal/power"
+	"powder/internal/seq"
 )
 
 func main() {
@@ -37,7 +39,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	nl := model.Netlist
+	circ, err := seq.FromModel(model)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	popts := power.Options{}
 	label := "uniform (p=0.5, independence toggles)"
@@ -53,20 +59,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		names := make([]string, 0, len(nl.Inputs()))
-		for _, id := range nl.Inputs() {
-			names = append(names, nl.Node(id).Name())
-		}
-		b, err := prof.Bind(names)
+		var b *activity.Binding
+		b, label, err = circ.BindActivity(prof, prof.Source)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		popts.InputProbs = b.Probs
 		popts.InputToggles = b.Toggles
-		label = fmt.Sprintf("%s sha256:%.12s %s", prof.Source, prof.Digest(), b.Coverage())
 	}
-	m := power.Estimate(nl, popts)
+	m := power.Estimate(circ.Core(), popts)
 	fmt.Printf("%s  model: %s\n", os.Args[1], label)
 	fmt.Printf("power %.3f\n", m.Total())
 }
